@@ -14,7 +14,7 @@
 //! cargo run -p multihonest-bench --release --bin table1 -- --threads 4
 //! ```
 
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag};
+use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
 use multihonest_bench::{
     bench_report, default_threads, generate_table1_threads, render_table1, TABLE1_ALPHAS,
     TABLE1_KS, TABLE1_RATIOS,
@@ -22,8 +22,11 @@ use multihonest_bench::{
 
 const USAGE: &str = "table1 [bench-report] [--quick] [--json] [--threads <n>] [--out <path>]";
 
+const KNOWN_FLAGS: [&str; 4] = ["--quick", "--json", "--threads", "--out"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let report_mode = args.iter().any(|a| a == "bench-report");

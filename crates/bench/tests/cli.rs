@@ -1,7 +1,8 @@
 //! Property coverage for the hardened CLI parser: over arbitrary
 //! flag/value/positional interleavings, `flag_value` never hands a flag
 //! back as a value, errors exactly when the grammar says it must, and
-//! `positionals` partitions cleanly against the flags.
+//! `positionals` partitions cleanly against the flags. One end-to-end
+//! check runs the `table1` binary itself with an unknown flag.
 
 use multihonest_bench::cli::{flag_value, parsed_flag, positionals, reject_unknown_flags};
 use proptest::prelude::*;
@@ -117,4 +118,17 @@ proptest! {
             .all(|a| !a.starts_with("--") || known.contains(&a.as_str()));
         prop_assert_eq!(ok, expect, "{:?}", args);
     }
+}
+
+/// The `table1` binary refuses a flag it does not know instead of running
+/// the table with it silently ignored.
+#[test]
+fn table1_rejects_unknown_flags() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+        .args(["--bogus", "--quick"])
+        .output()
+        .expect("table1 runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--bogus"), "{stderr}");
 }

@@ -33,19 +33,23 @@
 //! Within the truncated rectangle the occupied set is much smaller than
 //! `O(k²)` for most of the run, and the kernel exploits that:
 //!
-//! * **Live band bounds.** All mass starts on the diagonal `µ = ρ` and
-//!   spreads by at most one cell per step in each coordinate, and the
-//!   skew `d = ρ − µ` also grows by at most one per step. The lattice
-//!   tracks the tight rectangle `(r_lo..=r_hi) × (m_lo..=m_hi)` plus the
-//!   skew bound `d_max` of the *observed* non-zero cells and iterates only
-//!   `m ∈ [max(floor, m_lo, r − d_max), min(r, cap, m_hi)]` per row. The
-//!   bounds are re-tightened from the cells actually seen each step, so
-//!   regions whose mass underflows to exact zero (e.g. the geometric reach
-//!   tail for small `α`) are never touched again. This is lossless: a cell
-//!   outside the grown band provably holds zero mass.
+//! * **Live band bounds, per row.** All mass starts on the diagonal
+//!   `µ = ρ` and every transition moves `ρ` and `µ` by at most one cell,
+//!   so target row `t` is written only from source rows `t − 1`, `t` and
+//!   `t + 1`. The lattice keeps one live interval `lo[r]..=hi[r]` per row
+//!   (plus the live row range `r_lo..=r_hi`). Each step scans every
+//!   source row's interval down to its first and last non-zero cell,
+//!   derives each target row's writable interval as the hull of its three
+//!   source rows' tight intervals widened by one and clipped to
+//!   `[floor, min(t, cap)]`, zeroes only that, and scatters only the tight
+//!   source intervals. The skew of row `r` is thereby capped near
+//!   `step − r` row by row instead of by one global bound, and regions
+//!   whose mass underflows to exact zero (e.g. the geometric reach tail
+//!   for small `α`) are never touched again. This is lossless: a cell
+//!   outside its row's interval provably holds zero mass.
 //! * **Ping-pong buffers.** `step` scatters into a pre-allocated second
-//!   buffer (zeroing only the writable band) and swaps — no heap
-//!   allocation after construction.
+//!   buffer (zeroing only the writable intervals) and swaps it, and the
+//!   interval vectors, in — no heap allocation after construction.
 //! * **Checkpoint-only accounting.** The `Pr[µ ≥ 0]` Kahan sweep runs only
 //!   at requested checkpoints; `violation_by_horizon` instead fuses the
 //!   absorption of violating mass into the step itself (an incremental
@@ -83,11 +87,13 @@ pub struct ExactSettlement {
 /// The joint law of `(ρ, µ)` over the truncated lattice, plus absorbed
 /// mass buckets.
 ///
-/// Invariant: every cell holding non-zero mass lies inside the live band
-/// `r ∈ r_lo..=r_hi`, `m ∈ m_lo..=m_hi`, `r − m ≤ d_max` (on top of the
-/// structural `0 ≤ r ≤ cap`, `floor ≤ m ≤ min(r, cap)`). Cells outside the
-/// band may hold stale values from two steps ago and must never be read;
-/// all sweeps below are band-restricted.
+/// Invariant: every cell holding non-zero mass lies in a live row
+/// `r ∈ r_lo..=r_hi` and inside that row's live interval
+/// `m ∈ lo[r]..=hi[r]` (a row with `lo[r] > hi[r]` is empty), which in turn
+/// lies inside the structural `floor ≤ m ≤ min(r, cap)`. Cells outside
+/// the intervals may hold stale values from two steps ago and must never
+/// be read; intervals of rows outside `r_lo..=r_hi` are stale too. All
+/// sweeps below are interval-restricted.
 #[derive(Debug, Clone)]
 struct Lattice {
     /// Horizon this lattice was sized for.
@@ -97,7 +103,7 @@ struct Lattice {
     /// `mass[idx(r, m)]`, `r ∈ 0..=cap`, `m ∈ floor..=cap`, `m ≤ r`.
     mass: Vec<f64>,
     /// Ping-pong partner of `mass`; holds the previous step outside the
-    /// current band.
+    /// current intervals.
     next: Vec<f64>,
     /// Mass absorbed at "margin ≥ cap forever" (always a violation).
     always: f64,
@@ -107,14 +113,16 @@ struct Lattice {
     /// every remaining checkpoint); kept only so total mass is conserved.
     dead: f64,
     width: usize,
-    /// Live band: lowest/highest occupied reach row (empty if `r_lo > r_hi`).
+    /// Live rows: lowest/highest row that may hold mass (empty if
+    /// `r_lo > r_hi`).
     r_lo: i64,
     r_hi: i64,
-    /// Live band: lowest/highest occupied margin column.
-    m_lo: i64,
-    m_hi: i64,
-    /// Largest observed skew `r − m` over occupied cells.
-    d_max: i64,
+    /// Live interval `lo[r]..=hi[r]` of each row of `mass`.
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    /// Ping-pong partners of `lo` / `hi`: the intervals of `next`.
+    next_lo: Vec<i64>,
+    next_hi: Vec<i64>,
 }
 
 impl Lattice {
@@ -122,7 +130,8 @@ impl Lattice {
         let cap = k as i64 + 2;
         let floor = -(k as i64 + 1);
         let width = (cap - floor + 1) as usize;
-        let cells = (cap as usize + 1) * width;
+        let rows = cap as usize + 1;
+        let cells = rows * width;
         Lattice {
             cap,
             floor,
@@ -133,9 +142,10 @@ impl Lattice {
             width,
             r_lo: 0,
             r_hi: -1,
-            m_lo: 0,
-            m_hi: -1,
-            d_max: 0,
+            lo: vec![0; rows],
+            hi: vec![-1; rows],
+            next_lo: vec![0; rows],
+            next_hi: vec![-1; rows],
         }
     }
 
@@ -146,30 +156,31 @@ impl Lattice {
         r as usize * self.width + (m - self.floor) as usize
     }
 
-    /// The live margin range of row `r` (may be empty).
+    /// The live margin interval of row `r` (empty if `lo > hi`, and for
+    /// every row outside `r_lo..=r_hi`).
     #[inline]
-    fn band_cols(&self, r: i64) -> (i64, i64) {
-        let lo = self.m_lo.max(self.floor).max(r - self.d_max);
-        let hi = self.m_hi.min(r).min(self.cap);
-        (lo, hi)
+    fn row_cols(&self, r: i64) -> (i64, i64) {
+        if r < self.r_lo || r > self.r_hi {
+            return (0, -1);
+        }
+        (self.lo[r as usize], self.hi[r as usize])
     }
 
     /// Seeds the diagonal `µ = ρ = r` with the given reach distribution;
     /// `tail` is the lumped mass `Pr[ρ ≥ cap]` (always a violation within
-    /// the horizon).
+    /// the horizon). Must be called once, on a fresh lattice.
     fn seed(&mut self, reach_law: &[f64], tail: f64) {
         debug_assert_eq!(reach_law.len() as i64, self.cap);
+        debug_assert!(self.r_lo > self.r_hi, "seeding a non-empty lattice");
         for (r, &p) in reach_law.iter().enumerate() {
             let i = self.idx(r as i64, r as i64);
             self.mass[i] += p;
             if p != 0.0 {
-                let r = r as i64;
+                (self.lo[r], self.hi[r]) = (r as i64, r as i64);
                 if self.r_lo > self.r_hi {
-                    self.r_lo = r;
-                    self.m_lo = r;
+                    self.r_lo = r as i64;
                 }
-                self.r_hi = r;
-                self.m_hi = r;
+                self.r_hi = r as i64;
             }
         }
         self.always += tail;
@@ -182,7 +193,7 @@ impl Lattice {
     /// `−remaining` can never climb back to `0` in time (margins move by
     /// at most one per step), so the step retires them into the `dead`
     /// bucket. This leaves every violation statistic of the run bit-for-bit
-    /// unchanged while shrinking the live band from below. Pass a
+    /// unchanged while shrinking the live intervals from below. Pass a
     /// `remaining` at least as large as the true number of steps left if
     /// the horizon is unknown (e.g. `i64::MAX >> 1` disables the trim).
     fn step(&mut self, p_h: f64, p_hh: f64, p_a: f64, remaining: i64) {
@@ -198,31 +209,57 @@ impl Lattice {
 
     fn step_impl<const ABSORB: bool>(&mut self, p_h: f64, p_hh: f64, p_a: f64, remaining: i64) {
         let (cap, floor, width) = (self.cap, self.floor, self.width);
-        // Conservative bounds for this step's targets: the band grows by at
-        // most one cell per step in every tracked direction.
-        let g_r_lo = (self.r_lo - 1).max(0);
-        let g_r_hi = (self.r_hi + 1).min(cap);
-        let g_m_lo = (self.m_lo - 1).max(floor);
-        let g_m_hi = (self.m_hi + 1).min(cap);
-        let g_d = self.d_max + 1;
-        if self.r_lo > self.r_hi {
-            return; // empty band: nothing to propagate
+        // 1. Tighten every source row's interval to its first/last non-zero
+        // cell. A dedicated scan keeps the hot transition loop branch-free.
+        let (mut s_r_lo, mut s_r_hi) = (i64::MAX, i64::MIN);
+        for r in self.r_lo..=self.r_hi {
+            let ri = r as usize;
+            let (lo, hi) = (self.lo[ri], self.hi[ri]);
+            if lo > hi {
+                continue;
+            }
+            let base = ri * width;
+            let row = &self.mass[base + (lo - floor) as usize..=base + (hi - floor) as usize];
+            let Some(first) = row.iter().position(|&p| p != 0.0) else {
+                (self.lo[ri], self.hi[ri]) = (0, -1);
+                continue;
+            };
+            let last = row.iter().rposition(|&p| p != 0.0).expect("first exists");
+            (self.lo[ri], self.hi[ri]) = (lo + first as i64, lo + last as i64);
+            s_r_lo = s_r_lo.min(r);
+            s_r_hi = r;
         }
-        // Zero exactly the writable band of the scratch buffer.
-        for r in g_r_lo..=g_r_hi {
-            let lo = g_m_lo.max(r - g_d);
-            let hi = g_m_hi.min(r);
-            if lo <= hi {
-                let base = r as usize * width;
-                let a = base + (lo - floor) as usize;
-                let b = base + (hi - floor) as usize;
-                self.next[a..=b].fill(0.0);
+        if s_r_lo == i64::MAX {
+            // All mass was previously absorbed or retired.
+            (self.r_lo, self.r_hi) = (0, -1);
+            return;
+        }
+        // 2. Every transition moves µ by at most one and ρ by at most one
+        // (or keeps it), so target row t is written only from source rows
+        // t − 1, t and t + 1, within one cell of their tight intervals.
+        // Zero exactly that writable interval of the scratch buffer.
+        let (t_lo, t_hi) = ((s_r_lo - 1).max(0), (s_r_hi + 1).min(cap));
+        for t in t_lo..=t_hi {
+            let (mut a, mut b) = (i64::MAX, i64::MIN);
+            for s in (t - 1).max(s_r_lo)..=(t + 1).min(s_r_hi) {
+                let si = s as usize;
+                if self.lo[si] <= self.hi[si] {
+                    a = a.min(self.lo[si]);
+                    b = b.max(self.hi[si]);
+                }
+            }
+            let a = a.saturating_sub(1).max(floor);
+            // Absorbing mode diverts every landing on µ ≥ 0.
+            let top = if ABSORB { t.min(-1) } else { t };
+            let b = b.saturating_add(1).min(top);
+            let ti = t as usize;
+            (self.next_lo[ti], self.next_hi[ti]) = (a, b);
+            if a <= b {
+                let base = ti * width;
+                self.next[base + (a - floor) as usize..=base + (b - floor) as usize].fill(0.0);
             }
         }
-        // Re-tightened bounds observed over this step's non-zero sources.
-        let (mut s_r_lo, mut s_r_hi) = (i64::MAX, i64::MIN);
-        let (mut s_m_lo, mut s_m_hi) = (i64::MAX, i64::MIN);
-        let mut s_d = 0i64;
+        // 3. Scatter each source row's tight interval.
         // Kahan-compensated absorption accumulator (ABSORB mode only).
         let (mut abs_acc, mut abs_c) = (0.0f64, 0.0f64);
         let kahan_absorb = |x: f64, acc: &mut f64, c: &mut f64| {
@@ -231,33 +268,14 @@ impl Lattice {
             *c = (t - *acc) - y;
             *acc = t;
         };
-        let (b_m_lo, b_m_hi, b_d) = (self.m_lo, self.m_hi, self.d_max);
         let mass = &self.mass;
         let next = &mut self.next;
-        for r in self.r_lo..=self.r_hi {
-            // Inlined `band_cols` (field borrows stay disjoint).
-            let m_from = b_m_lo.max(floor).max(r - b_d);
-            let m_to = b_m_hi.min(r).min(cap);
+        for r in s_r_lo..=s_r_hi {
+            let (m_from, m_to) = (self.lo[r as usize], self.hi[r as usize]);
             if m_from > m_to {
                 continue;
             }
             let src_base = r as usize * width;
-            // Re-tighten the band from the cells actually occupied. A
-            // dedicated scan keeps the hot transition loop branch-free.
-            let row =
-                &mass[src_base + (m_from - floor) as usize..=src_base + (m_to - floor) as usize];
-            let Some(first) = row.iter().position(|&p| p != 0.0) else {
-                continue;
-            };
-            let last = row.iter().rposition(|&p| p != 0.0).expect("first exists");
-            let (row_first, row_last) = (m_from + first as i64, m_from + last as i64);
-            if s_r_lo == i64::MAX {
-                s_r_lo = r;
-            }
-            s_r_hi = r;
-            s_m_lo = s_m_lo.min(row_first);
-            s_m_hi = s_m_hi.max(row_last);
-            s_d = s_d.max(r - row_first);
             // Row bases of the three possible target rows.
             let r_up = (r + 1).min(cap);
             let up_base = r_up as usize * width;
@@ -273,7 +291,7 @@ impl Lattice {
                 // equal-length slices — no per-cell branch, no recomputed
                 // indices. Adding a zero source's `+0.0` products is a
                 // bitwise no-op (all masses are non-negative), so zero
-                // cells need no skip.
+                // cells inside the interval need no skip.
                 let mut seg_lo = m_from;
                 if seg_lo == floor {
                     // Dead floor: absorbing in place.
@@ -310,7 +328,7 @@ impl Lattice {
                     high[u0] += p * p_a;
                     bulk(1, m_to, low, high);
                 } else {
-                    // Row band entirely below or above µ = 0.
+                    // Row interval entirely below or above µ = 0.
                     bulk(seg_lo, m_to, low, high);
                 }
                 continue;
@@ -371,46 +389,26 @@ impl Lattice {
             self.always += abs_acc;
         }
         std::mem::swap(&mut self.mass, &mut self.next);
-        if s_r_lo == i64::MAX {
-            // All mass was previously absorbed; the band is empty.
-            self.r_lo = 0;
-            self.r_hi = -1;
-            self.m_lo = 0;
-            self.m_hi = -1;
-            self.d_max = 0;
-        } else {
-            // Targets lie within one cell of the observed sources.
-            self.r_lo = (s_r_lo - 1).max(0);
-            self.r_hi = (s_r_hi + 1).min(cap);
-            self.m_lo = (s_m_lo - 1).max(floor);
-            self.m_hi = (s_m_hi + 1).min(cap);
-            self.d_max = s_d + 1;
-        }
-        // Dynamic dead floor: a margin below `−remaining` cannot return to
-        // `0` before the run ends, so such cells never contribute to any
+        std::mem::swap(&mut self.lo, &mut self.next_lo);
+        std::mem::swap(&mut self.hi, &mut self.next_hi);
+        (self.r_lo, self.r_hi) = (t_lo, t_hi);
+        // 4. Dynamic dead floor: a margin below `−remaining` cannot return
+        // to `0` before the run ends, so such cells never contribute to any
         // later violation statistic (nor do their descendants, which stay
-        // below the moving floor). Retire them and lift the band's lower
+        // below the moving floor). Retire them and lift each row's lower
         // edge — this turns the dead lower triangle of the lattice into a
         // scalar bucket.
-        let eff_floor = floor.max(-remaining - 1).min(self.cap);
-        if self.m_lo <= eff_floor && self.r_lo <= self.r_hi {
-            for r in self.r_lo..=self.r_hi {
-                let (m_from, m_to) = self.band_cols(r);
-                let base = r as usize * width;
-                for m in m_from..=m_to.min(eff_floor) {
-                    let i = base + (m - floor) as usize;
-                    self.dead += self.mass[i];
-                    self.mass[i] = 0.0;
-                }
+        let eff_floor = floor.max(-remaining - 1).min(cap);
+        for r in t_lo..=t_hi {
+            let ri = r as usize;
+            if self.lo[ri] > eff_floor {
+                continue;
             }
-            self.m_lo = eff_floor + 1;
-            if self.m_lo > self.m_hi {
-                self.r_lo = 0;
-                self.r_hi = -1;
-                self.m_lo = 0;
-                self.m_hi = -1;
-                self.d_max = 0;
+            let base = ri * width;
+            for m in self.lo[ri]..=self.hi[ri].min(eff_floor) {
+                self.dead += self.mass[base + (m - floor) as usize];
             }
+            self.lo[ri] = eff_floor + 1;
         }
     }
 
@@ -418,8 +416,8 @@ impl Lattice {
     fn violation_mass(&self) -> f64 {
         let mut acc = self.always;
         let mut compensation = 0.0;
-        for r in self.r_lo.max(0)..=self.r_hi {
-            let (m_from, m_to) = self.band_cols(r);
+        for r in self.r_lo..=self.r_hi {
+            let (m_from, m_to) = self.row_cols(r);
             let base = r as usize * self.width;
             for m in m_from.max(0)..=m_to {
                 // Kahan summation: the masses span ~300 orders of magnitude.
@@ -435,35 +433,23 @@ impl Lattice {
     /// Moves all mass with `µ ≥ 0` into the `always` bucket (used by the
     /// absorbing "violated by horizon" variant).
     fn absorb_violations(&mut self) {
-        for r in self.r_lo.max(0)..=self.r_hi {
-            let (m_from, m_to) = self.band_cols(r);
+        for r in self.r_lo..=self.r_hi {
+            let (m_from, m_to) = self.row_cols(r);
             let base = r as usize * self.width;
             for m in m_from.max(0)..=m_to {
-                let i = base + (m - self.floor) as usize;
-                self.always += self.mass[i];
-                self.mass[i] = 0.0;
+                self.always += self.mass[base + (m - self.floor) as usize];
             }
-        }
-        // The band above µ = −1 is now empty; tighten so subsequent steps
-        // skip it. (Mass at the negative margins, if any, is untouched.)
-        self.m_hi = self.m_hi.min(-1);
-        if self.m_lo > self.m_hi {
-            self.r_lo = 0;
-            self.r_hi = -1;
-            self.m_lo = 0;
-            self.m_hi = -1;
-            self.d_max = 0;
+            // Every row is now empty above µ = −1; tighten so subsequent
+            // steps skip it. (Mass at negative margins is untouched.)
+            self.hi[r as usize] = m_to.min(-1);
         }
     }
 
     /// The mass currently stored for cell `(r, m)`; zero outside the live
-    /// band (the raw buffer may hold stale values there).
+    /// intervals (the raw buffer may hold stale values there).
     #[cfg(test)]
     fn cell(&self, r: i64, m: i64) -> f64 {
-        if r < self.r_lo || r > self.r_hi {
-            return 0.0;
-        }
-        let (m_from, m_to) = self.band_cols(r);
+        let (m_from, m_to) = self.row_cols(r);
         if m < m_from || m > m_to {
             return 0.0;
         }
@@ -473,8 +459,8 @@ impl Lattice {
     #[cfg(test)]
     fn total_mass(&self) -> f64 {
         let mut acc = self.always + self.dead;
-        for r in self.r_lo.max(0)..=self.r_hi {
-            let (m_from, m_to) = self.band_cols(r);
+        for r in self.r_lo..=self.r_hi {
+            let (m_from, m_to) = self.row_cols(r);
             for m in m_from..=m_to {
                 acc += self.mass[self.idx(r, m)];
             }
@@ -790,50 +776,170 @@ mod tests {
         }
     }
 
+    /// Steps the banded lattice and the naive oracle in lockstep for `k`
+    /// steps from the same seed `(law, tail)` and asserts, before every
+    /// step, that every cell outside the banded row intervals is zero in
+    /// the oracle and every cell inside agrees bit-for-bit — i.e. full
+    /// cellwise bit identity above the dynamic dead floor. With
+    /// `absorb_from = Some(j)` both sides absorb the `µ ≥ 0` mass after
+    /// step `j`, and every later step compares the fused `step_absorbing`
+    /// against naive `step` + `absorb_violations`.
+    fn assert_lockstep_cellwise(
+        e: &ExactSettlement,
+        (law, tail): (Vec<f64>, f64),
+        k: usize,
+        absorb_from: Option<usize>,
+    ) {
+        let (p_h, p_hh, p_a) = (
+            e.cond.p_unique_honest(),
+            e.cond.p_multi_honest(),
+            e.cond.p_adversarial(),
+        );
+        let ctx = format!("k={k}, absorb_from={absorb_from:?}, {:?}", e.cond);
+        let mut banded = Lattice::new(k);
+        let mut naive = reference::NaiveLattice::new(k);
+        banded.seed(&law, tail);
+        naive.seed(&law, tail);
+        for step in 0..=k {
+            if absorb_from == Some(step) {
+                banded.absorb_violations();
+                naive.absorb_violations();
+            }
+            // The banded kernel retires cells below the dynamic dead floor
+            // −(k − step) − 1; above it (every cell that can still
+            // influence a checkpoint) agreement is bit-for-bit.
+            let alive_floor = (-((k - step) as i64)).max(banded.floor);
+            for r in 0..=banded.cap {
+                let (lo, hi) = banded.row_cols(r);
+                if lo <= hi {
+                    assert!(
+                        banded.floor <= lo && hi <= r.min(banded.cap),
+                        "row {r} interval [{lo}, {hi}] outside the lattice at step {step}, {ctx}"
+                    );
+                }
+                for m in alive_floor..=r.min(banded.cap) {
+                    let n = naive.cell(r, m);
+                    if m < lo || m > hi {
+                        assert_eq!(
+                            n.to_bits(),
+                            0,
+                            "oracle mass {n:e} at ({r}, {m}) outside the row interval \
+                             [{lo}, {hi}] at step {step}, {ctx}"
+                        );
+                        continue;
+                    }
+                    let b = banded.cell(r, m);
+                    assert_eq!(
+                        b.to_bits(),
+                        n.to_bits(),
+                        "cell ({r}, {m}) diverged at step {step}: {b:e} vs {n:e}, {ctx}"
+                    );
+                }
+            }
+            if absorb_from.is_some_and(|a| step >= a) {
+                // Fused absorption is Kahan-compensated; the oracle's
+                // sweep is a plain sum.
+                let (b, n) = (banded.always, naive.always);
+                assert!(
+                    b == n || (b / n - 1.0).abs() < 1e-12,
+                    "absorbed mass diverged at step {step}: {b:e} vs {n:e}, {ctx}"
+                );
+            } else {
+                // The interval-restricted Kahan sweep may differ from the
+                // full-rectangle sweep by an ulp (zero cells interact with
+                // the compensation term), hence relative compare.
+                let (bv, nv) = (banded.violation_mass(), naive.violation_mass());
+                assert!(
+                    bv == nv || (bv / nv - 1.0).abs() < 1e-14,
+                    "violation mass diverged at step {step}: {bv:e} vs {nv:e}, {ctx}"
+                );
+            }
+            if step == k {
+                break;
+            }
+            let remaining = (k - step - 1) as i64;
+            if absorb_from.is_some_and(|a| step >= a) {
+                banded.step_absorbing(p_h, p_hh, p_a, remaining);
+                naive.step(p_h, p_hh, p_a);
+                naive.absorb_violations();
+            } else {
+                banded.step(p_h, p_hh, p_a, remaining);
+                naive.step(p_h, p_hh, p_a);
+            }
+        }
+    }
+
     #[test]
     fn banded_kernel_matches_naive_reference_cellwise() {
         // Exhaustive small-k agreement: every cell of the truncated
-        // rectangle, every step, several conditions — the banded kernel
-        // must be bit-for-bit the naive full-rectangle scan.
-        for (alpha, ratio) in [(0.3, 0.8), (0.05, 1.0), (0.45, 0.25), (0.2, 0.0)] {
-            let e = ExactSettlement::new(cond(alpha, ratio));
-            let p_h = e.cond.p_unique_honest();
-            let p_hh = e.cond.p_multi_honest();
-            let p_a = e.cond.p_adversarial();
-            for k in [1usize, 2, 3, 5, 9, 16] {
-                let mut banded = Lattice::new(k);
-                let mut naive = reference::NaiveLattice::new(k);
-                let (law, tail) = e.reach_law_stationary(banded.cap as usize);
-                banded.seed(&law, tail);
-                naive.seed(&law, tail);
-                for step in 0..=k {
-                    // The banded kernel retires cells below the dynamic
-                    // dead floor −(k − step) − 1; above it (every cell
-                    // that can still influence a checkpoint) agreement is
-                    // bit-for-bit.
-                    let alive_floor = -((k - step) as i64);
-                    for r in 0..=banded.cap {
-                        for m in alive_floor.max(banded.floor)..=r.min(banded.cap) {
-                            assert_eq!(
-                                banded.cell(r, m),
-                                naive.cell(r, m),
-                                "cell ({r}, {m}) diverged at step {step}, k={k}, α={alpha}"
-                            );
-                        }
-                    }
-                    // The band-restricted Kahan sweep may differ from the
-                    // full-rectangle sweep by an ulp (zero cells interact
-                    // with the compensation term), hence relative compare.
-                    let (bv, nv) = (banded.violation_mass(), naive.violation_mass());
-                    assert!(
-                        bv == nv || (bv / nv - 1.0).abs() < 1e-14,
-                        "violation mass diverged at step {step}, k={k}, α={alpha}: {bv:e} vs {nv:e}"
-                    );
-                    banded.step(p_h, p_hh, p_a, (k as i64 - step as i64 - 1).max(0));
-                    naive.step(p_h, p_hh, p_a);
+        // rectangle, every step, a sweep of conditions — the banded kernel
+        // must be bit-for-bit the naive full-rectangle scan, and no oracle
+        // mass may escape the banded row intervals.
+        for alpha in [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49] {
+            for ratio in [1.0, 0.8, 0.5, 0.25, 0.0] {
+                let e = ExactSettlement::new(cond(alpha, ratio));
+                for k in [1usize, 2, 3, 5, 8, 9, 16] {
+                    assert_lockstep_cellwise(&e, e.reach_law_stationary(k + 2), k, None);
                 }
             }
         }
+    }
+
+    #[test]
+    fn fused_absorption_matches_naive_reference_cellwise() {
+        // step_absorbing ≡ step + absorb_violations cell by cell, with the
+        // switch at the seed, mid-run and at the last step.
+        for (alpha, ratio) in [(0.3, 0.8), (0.45, 0.25), (0.2, 0.0), (0.1, 1.0)] {
+            let e = ExactSettlement::new(cond(alpha, ratio));
+            for (k, absorb_from) in [(6, 0), (12, 4), (20, 9), (9, 9)] {
+                assert_lockstep_cellwise(&e, e.reach_law_stationary(k + 2), k, Some(absorb_from));
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_seeds_match_naive_reference_cellwise() {
+        // Finite-prefix laws leave rows above the prefix length empty, and
+        // a hand-made seed with runs of zero rows inside the occupied row
+        // range exercises empty and single-cell row intervals, and target
+        // rows fed only from the row above, from step one.
+        for (alpha, ratio) in [(0.3, 0.5), (0.45, 1.0), (0.2, 0.0)] {
+            let e = ExactSettlement::new(cond(alpha, ratio));
+            for (m, k) in [(0, 10), (1, 14), (3, 18), (7, 12), (40, 16)] {
+                assert_lockstep_cellwise(&e, e.reach_law_finite(m, k + 2), k, None);
+                assert_lockstep_cellwise(&e, e.reach_law_finite(m, k + 2), k, Some(k / 2));
+            }
+            for k in [6usize, 11, 17] {
+                // Single and double gaps: rows 1, 3–4, 6, 8–9, …
+                let law: Vec<f64> = (0..k + 2)
+                    .map(|r| match r % 5 {
+                        1 | 3 | 4 => 0.0,
+                        _ => 0.5f64.powi(r as i32 + 1),
+                    })
+                    .collect();
+                let tail = 1.0 - law.iter().sum::<f64>();
+                assert_lockstep_cellwise(&e, (law.clone(), tail), k, None);
+                assert_lockstep_cellwise(&e, (law, tail), k, Some(2));
+            }
+        }
+    }
+
+    #[test]
+    fn underflowing_reach_tail_matches_naive_reference_cellwise() {
+        // At α = 0.01 the stationary reach law β^r (β ≈ 0.0101) underflows
+        // to exact zero near r ≈ 160, so the seeded rows end well below
+        // the ceiling and the mass underflows cell by cell as it spreads.
+        let e = ExactSettlement::new(cond(0.01, 1.0));
+        let k = 180;
+        let (law, tail) = e.reach_law_stationary(k + 2);
+        assert_eq!(
+            law[k + 1],
+            0.0,
+            "the reach tail must underflow inside the lattice"
+        );
+        assert!(law[100] > 0.0);
+        assert_lockstep_cellwise(&e, (law.clone(), tail), k, None);
+        assert_lockstep_cellwise(&e, (law, tail), k, Some(60));
     }
 
     #[test]

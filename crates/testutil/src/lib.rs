@@ -177,6 +177,27 @@ pub mod golden {
         }
     }
 
+    /// Bit-exact pin of the full published Table-1 grid: [`fnv1a_bits`]
+    /// over the 180 cells of `multihonest_bench::generate_table1_threads`
+    /// on `TABLE1_ALPHAS × TABLE1_RATIOS × TABLE1_KS` with one thread, in
+    /// cell order. Frozen from the global-rectangle banded kernel; unlike
+    /// the 1e-12 pins above, a single flipped ulp anywhere in the table
+    /// changes it.
+    pub const TABLE1_BITS_PIN: u64 = 0x9d44_27c1_7755_4478;
+
+    /// FNV-1a (64-bit) over the little-endian bytes of each value's
+    /// `to_bits()`, in iteration order.
+    pub fn fnv1a_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
     /// Asserts the horizon-variant and finite-prefix pins: together with
     /// [`assert_exact_pins`] this freezes every public entry point of the
     /// exact DP against kernel drift at 1e-12.

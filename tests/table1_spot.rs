@@ -8,6 +8,7 @@
 //! The full table is regenerated by
 //! `cargo run -p multihonest-bench --release --bin table1`.
 
+use multihonest_bench::{generate_table1_threads, TABLE1_ALPHAS, TABLE1_KS, TABLE1_RATIOS};
 use multihonest_testutil::golden;
 
 #[test]
@@ -93,4 +94,19 @@ fn near_vacuous_ph_row_shape() {
     // Published cell (α = 0.01, ratio 0.01, k = 100): 3.77e-1.
     let p = golden::table1_cell(0.01, 0.01, 100);
     assert!((p / 3.77e-1 - 1.0).abs() < 0.05, "got {p:e}");
+}
+
+#[test]
+fn full_table_is_bit_identical_to_pin() {
+    // Every one of the 180 published cells, hashed bit-for-bit: the
+    // kernel's banding and scatter order may change only if every output
+    // bit survives.
+    let cells = generate_table1_threads(&TABLE1_ALPHAS, &TABLE1_RATIOS, &TABLE1_KS, 1);
+    assert_eq!(cells.len(), 180);
+    let hash = golden::fnv1a_bits(cells.iter().map(|c| c.probability));
+    assert_eq!(
+        hash,
+        golden::TABLE1_BITS_PIN,
+        "Table 1 drifted bitwise: got {hash:#018x}"
+    );
 }
