@@ -12,13 +12,16 @@
 //! ```
 
 use multihonest::adversary::CanonicalMonteCarlo;
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag};
+use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
 use multihonest_bench::{astar_bench_condition, astar_bench_report, default_threads};
 
 const USAGE: &str = "astar [bench-report] [--quick] [--seed <u64>] [--threads <n>] [--out <path>]";
 
+const KNOWN_FLAGS: [&str; 4] = ["--quick", "--seed", "--threads", "--out"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let report_mode = args.iter().any(|a| a == "bench-report");
     let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(4);

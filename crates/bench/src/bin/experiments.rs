@@ -15,8 +15,11 @@ use multihonest_bench as bench;
 
 const USAGE: &str = "experiments [--quick] [--json] [--threads <n>] [experiment-names...]";
 
+const KNOWN_FLAGS: [&str; 3] = ["--quick", "--json", "--threads"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    bench::cli::or_usage(bench::cli::reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let threads = bench::cli::or_usage(bench::cli::parsed_flag(&args, "--threads"), USAGE)

@@ -56,6 +56,10 @@ const KNOWN_FLAGS: [&str; 11] = [
 fn run_horizon_cmd(args: &[String], seed: u64) {
     let slots: usize = or_usage(parsed_flag(args, "--slots"), USAGE).unwrap_or(100_000_000);
     let segment: usize = or_usage(parsed_flag(args, "--segment"), USAGE).unwrap_or(1 << 20);
+    if segment == 0 {
+        eprintln!("error: --segment must be positive\nusage: {USAGE}");
+        std::process::exit(2);
+    }
     let wal = or_usage(flag_value(args, "--wal"), USAGE).map(std::path::PathBuf::from);
     let trace_path = or_usage(flag_value(args, "--trace"), USAGE).map(std::path::PathBuf::from);
     let events_path = or_usage(flag_value(args, "--events"), USAGE).map(std::path::PathBuf::from);

@@ -13,13 +13,16 @@
 //! ```
 
 use multihonest::prelude::*;
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag};
+use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
 use multihonest_bench::{sim_bench_config, sim_bench_report};
 
 const USAGE: &str = "settlement [bench-report] [--quick] [--seed <u64>] [--out <path>]";
 
+const KNOWN_FLAGS: [&str; 3] = ["--quick", "--seed", "--out"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let report_mode = args.iter().any(|a| a == "bench-report");
     let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);

@@ -1,8 +1,8 @@
 //! Property coverage for the hardened CLI parser: over arbitrary
 //! flag/value/positional interleavings, `flag_value` never hands a flag
 //! back as a value, errors exactly when the grammar says it must, and
-//! `positionals` partitions cleanly against the flags. One end-to-end
-//! check runs the `table1` binary itself with an unknown flag.
+//! `positionals` partitions cleanly against the flags. End-to-end checks
+//! run the binaries themselves with an unknown flag or a bad value.
 
 use multihonest_bench::cli::{flag_value, parsed_flag, positionals, reject_unknown_flags};
 use proptest::prelude::*;
@@ -120,15 +120,64 @@ proptest! {
     }
 }
 
+/// Runs `bin` with `args` and asserts a usage error: exit 2 with `needle`
+/// on stderr.
+fn assert_usage_error(bin: &str, args: &[&str], needle: &str) {
+    let out = std::process::Command::new(bin)
+        .args(args)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
+}
+
 /// The `table1` binary refuses a flag it does not know instead of running
 /// the table with it silently ignored.
 #[test]
 fn table1_rejects_unknown_flags() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
-        .args(["--bogus", "--quick"])
-        .output()
-        .expect("table1 runs");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--bogus"), "{stderr}");
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_table1"),
+        &["--bogus", "--quick"],
+        "--bogus",
+    );
+}
+
+#[test]
+fn astar_rejects_unknown_flags() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_astar"),
+        &["--bogus", "--quick"],
+        "--bogus",
+    );
+}
+
+#[test]
+fn settlement_rejects_unknown_flags() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_settlement"),
+        &["--bogus", "--quick"],
+        "--bogus",
+    );
+}
+
+/// `experiments` keeps its positional section names but refuses unknown
+/// flags among them.
+#[test]
+fn experiments_rejects_unknown_flags() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_experiments"),
+        &["tiebreak", "--bogus", "--quick"],
+        "--bogus",
+    );
+}
+
+/// `scenario horizon --segment 0` is a usage error, not a panic.
+#[test]
+fn scenario_horizon_rejects_zero_segment() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_scenario"),
+        &["horizon", "--slots", "1000", "--segment", "0"],
+        "--segment",
+    );
 }

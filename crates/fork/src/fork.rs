@@ -18,7 +18,19 @@ impl VertexId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The vertex at arena index `index` (the inverse of
+    /// [`index`](VertexId::index)). Ids are dense in insertion order, so
+    /// a producer whose own ids are dense can address fork vertices
+    /// without a lookup table.
+    pub fn from_index(index: usize) -> VertexId {
+        VertexId(u32::try_from(index).expect("vertex index fits in u32"))
+    }
 }
+
+/// "No vertex" in the child/sibling columns: the root is never a child
+/// or a sibling, so index 0 is free to mean absent.
+const NIL: u32 = 0;
 
 /// A fork `F ⊢ w` for a characteristic string `w` (paper Definition 2).
 ///
@@ -52,7 +64,13 @@ impl VertexId {
 pub struct Fork {
     w: CharString,
     labels: Vec<usize>,
-    children: Vec<Vec<VertexId>>,
+    /// Child lists as intrusive columns, in insertion order: the first
+    /// and last child of each vertex and the next sibling of each vertex
+    /// ([`NIL`] when absent). Three `u32`s per vertex, no per-vertex
+    /// allocation.
+    first_child: Vec<u32>,
+    last_child: Vec<u32>,
+    next_sibling: Vec<u32>,
     /// Shared ancestry layer: parent links, depths and the binary-lifting
     /// jump tables behind every `O(log n)` ancestry query below.
     anc: AncestorIndex,
@@ -66,7 +84,9 @@ impl Fork {
         Fork {
             w,
             labels: vec![0],
-            children: vec![Vec::new()],
+            first_child: vec![NIL],
+            last_child: vec![NIL],
+            next_sibling: vec![NIL],
             anc: AncestorIndex::new(),
             height: 0,
         }
@@ -124,11 +144,18 @@ impl Fork {
         );
         let id = VertexId(self.labels.len() as u32);
         self.labels.push(label);
-        self.children.push(Vec::new());
+        self.first_child.push(NIL);
+        self.last_child.push(NIL);
+        self.next_sibling.push(NIL);
         let idx = self.anc.push(parent.index());
         debug_assert_eq!(idx, id.index());
         self.height = self.height.max(self.anc.depth(idx));
-        self.children[parent.index()].push(id);
+        let p = parent.index();
+        match self.last_child[p] {
+            NIL => self.first_child[p] = id.0,
+            last => self.next_sibling[last as usize] = id.0,
+        }
+        self.last_child[p] = id.0;
         id
     }
 
@@ -153,10 +180,13 @@ impl Fork {
         &self.anc
     }
 
-    /// The children of `v`.
+    /// The children of `v`, in insertion order.
     #[inline]
-    pub fn children(&self, v: VertexId) -> &[VertexId] {
-        &self.children[v.index()]
+    pub fn children(&self, v: VertexId) -> Children<'_> {
+        Children {
+            next_sibling: &self.next_sibling,
+            cur: self.first_child[v.index()],
+        }
     }
 
     /// The depth of `v` — equivalently the *length* of the tine ending at
@@ -169,7 +199,7 @@ impl Fork {
     /// Returns `true` when `v` is a leaf.
     #[inline]
     pub fn is_leaf(&self, v: VertexId) -> bool {
-        self.children[v.index()].is_empty()
+        self.first_child[v.index()] == NIL
     }
 
     /// Returns `true` when `v` is honest: the root, or labelled by an
@@ -316,6 +346,29 @@ impl Fork {
     }
 }
 
+/// Iterator over the children of one vertex, in insertion order (see
+/// [`Fork::children`]).
+#[derive(Debug, Clone)]
+pub struct Children<'a> {
+    next_sibling: &'a [u32],
+    cur: u32,
+}
+
+impl Iterator for Children<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        match self.cur {
+            NIL => None,
+            c => {
+                self.cur = self.next_sibling[c as usize];
+                Some(VertexId(c))
+            }
+        }
+    }
+}
+
 /// Attempts to embed the subtree of `small` rooted at `sv` into the subtree
 /// of `big` rooted at `bv` (labels must match; `sv`'s children must map to
 /// distinct children of `bv`).
@@ -332,13 +385,15 @@ fn embed(
     if let Some(&hit) = taken.get(&(sv, bv)) {
         return hit;
     }
+    let s_children: Vec<VertexId> = small.children(sv).collect();
+    let b_children: Vec<VertexId> = big.children(bv).collect();
     let result = match_children(
         small,
         big,
-        small.children(sv),
-        big.children(bv),
+        &s_children,
+        &b_children,
         0,
-        &mut vec![false; big.children(bv).len()],
+        &mut vec![false; b_children.len()],
     );
     taken.insert((sv, bv), result);
     result
@@ -424,6 +479,22 @@ mod tests {
         assert_eq!(f.tine_vertex_with_label(c, 2), Some(b1));
         assert_eq!(f.tine_vertex_with_label(c, 3), None);
         assert_eq!(f.ancestor_at_depth(c, 1), a);
+    }
+
+    #[test]
+    fn children_iterate_in_insertion_order() {
+        let mut f = Fork::new(w("hAAh"));
+        let a = f.push_vertex(VertexId::ROOT, 1);
+        let b = f.push_vertex(VertexId::ROOT, 2);
+        let c = f.push_vertex(a, 3);
+        let d = f.push_vertex(VertexId::ROOT, 4);
+        let e = f.push_vertex(a, 4);
+        assert_eq!(f.children(VertexId::ROOT).collect::<Vec<_>>(), [a, b, d]);
+        assert_eq!(f.children(a).collect::<Vec<_>>(), [c, e]);
+        assert_eq!(f.children(b).count(), 0);
+        assert!(f.is_leaf(b) && f.is_leaf(c) && f.is_leaf(e));
+        assert!(!f.is_leaf(a) && !f.is_leaf(VertexId::ROOT));
+        assert_eq!(VertexId::from_index(e.index()), e);
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub fn close(fork: &Fork) -> Fork {
     // Process in reverse insertion order: children always come after
     // parents, so a reverse scan sees children first.
     for v in fork.vertices().collect::<Vec<_>>().into_iter().rev() {
-        let has_kept_child = fork.children(v).iter().any(|c| keep[c.index()]);
+        let has_kept_child = fork.children(v).any(|c| keep[c.index()]);
         keep[v.index()] = has_kept_child || fork.is_honest(v);
     }
     let mut out = Fork::new(fork.string().clone());

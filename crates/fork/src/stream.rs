@@ -6,35 +6,45 @@
 //! fine as a definitional oracle, prohibitive inside a million-slot
 //! execution loop. This module maintains the same verdict *incrementally*:
 //!
+//! * [`ForkFold`] — the incremental fork builder: owns a [`Fork`] and its
+//!   [`SemiString`], consuming the per-slot `(symbol, vertices)` event
+//!   stream the execution engines produce. Its contract is **slot
+//!   order**: every vertex is labelled with the slot being streamed, so
+//!   (F3) needs only the current slot's vertex count and (F4Δ) only a
+//!   running maximum plus a ring of `Δ + 1` per-slot maxima — `O(1)` per
+//!   vertex and `O(Δ)` validation memory. Million-slot columnar runs
+//!   route through it to get axiom validation with no reference-engine
+//!   replay.
 //! * [`StreamValidator`] — a detached checker fed per-slot symbols and
-//!   per-vertex `(label, depth)` observations, spending `O(log n)` per
-//!   vertex. The (F4Δ) depth-monotonicity axiom (Definition 21: honest
-//!   slots `i + Δ < j` must satisfy `d(i) < depth` of every honest vertex
-//!   at `j`) is checked against two growable Fenwick trees over honest
-//!   slots — a prefix-maximum and a suffix-minimum of observed honest
-//!   depths — so a violating pair is caught the moment its *later-arriving*
-//!   vertex is observed, regardless of insertion order.
-//! * [`ForkFold`] — the incremental fork builder: owns a [`Fork`], its
-//!   [`SemiString`], and a `StreamValidator`, consuming the same per-slot
-//!   `(symbol, vertices)` event stream the execution engines produce.
-//!   Million-slot columnar runs route through it to get axiom validation
-//!   with no reference-engine replay.
+//!   per-vertex `(label, depth)` observations **in any label order**,
+//!   spending `O(log n)` per vertex. Its producers (the settlement game,
+//!   where an adversary's `augment` adds vertices at backdated reserved
+//!   slots) break slot order, so the (F4Δ) depth-monotonicity axiom
+//!   (Definition 21: honest slots `i + Δ < j` must satisfy `d(i) <
+//!   depth` of every honest vertex at `j`) is checked against two
+//!   growable Fenwick trees over honest slots — a prefix-maximum and a
+//!   suffix-minimum of observed honest depths — so a violating pair is
+//!   caught the moment its *later-arriving* vertex is observed,
+//!   regardless of insertion order.
 //!
 //! ## Parity contract
 //!
-//! For every complete stream, [`StreamValidator::finish`] is `Ok` exactly
-//! when the batch oracle is `Ok` (property-tested over random
-//! strategy × Δ × fault executions). The *first reported error* may
+//! For every complete stream, [`ForkFold::finish`] and
+//! [`StreamValidator::finish`] are `Ok` exactly when the batch oracle is
+//! `Ok` (property-tested over random strategy × Δ × fault executions and
+//! random slot-ordered streams). The *first reported error* may
 //! legitimately differ: the batch oracle scans axioms in a fixed order
-//! over the finished fork, while the stream reports the first violation
-//! *witnessable at observation time*. Both always report a genuine
-//! violation of the same fork.
+//! over the finished fork, while a stream reports the first violation
+//! *witnessable at observation time* — [`ForkFold`] reports a missing
+//! honest vertex when its slot closes, [`StreamValidator`] only at
+//! `finish`. All always report a genuine violation of the same fork.
 
 use crate::fork::{Fork, VertexId};
 use crate::validate::{validate_delta, ForkError};
 use multihonest_chars::{SemiString, SemiSymbol, Symbol};
 
-/// Sentinel for "no honest depth observed" in the prefix-maximum tree.
+/// Sentinel for "no honest depth observed" in the prefix-maximum tree
+/// and in [`ForkFold`]'s (F4Δ) window.
 const NO_MAX: (usize, usize) = (0, 0);
 /// Sentinel for "no honest depth observed" in the suffix-minimum tree.
 const NO_MIN: (usize, usize) = (usize::MAX, 0);
@@ -360,17 +370,51 @@ impl StreamedFork {
 /// columnar engine's per-slot hook, and any other producer of per-slot
 /// `(symbol, vertices)` events.
 ///
+/// ## Slot-ordered contract
+///
 /// Drive it strictly slot by slot: [`push_symbol`](ForkFold::push_symbol)
 /// for slot `t`, then [`push_vertex`](ForkFold::push_vertex) for every
-/// vertex minted *during* slot `t` (their labels may still point at older
-/// reserved slots). Vertex ids are assigned densely in push order, so a
-/// producer whose block ids are already dense (the columnar store) gets a
-/// 1:1 id correspondence for free.
+/// vertex labelled `t` — `push_vertex` takes no label, every vertex is
+/// labelled with the current slot. Vertex ids are assigned densely in
+/// push order, so a producer whose block ids are already dense (the
+/// columnar store) gets a 1:1 id correspondence for free.
+///
+/// Because labels arrive in slot order, the fold needs neither
+/// [`StreamValidator`]'s Fenwick trees nor its per-slot arrays: each
+/// vertex costs `O(1)` and the validation state is `O(Δ)`.
+///
+/// * **(F4Δ)** — `settled` holds the maximum honest `(depth, slot)` over
+///   slots `≤ t − Δ − 1`, and a ring holds the per-slot maxima of the
+///   `Δ + 1` slots `t − Δ ..= t`. Opening slot `t + 1` folds the slot
+///   leaving the window into `settled`; an honest vertex at `t` whose
+///   depth is `≤ settled`'s is rejected. The mirrored direction (an
+///   earlier-labelled honest vertex arriving after a later one) cannot
+///   occur in slot order.
+/// * **(F3)** — only the current slot's vertex count is kept: a second
+///   `h` vertex is rejected as it arrives, and a missing `h`/`H` vertex
+///   when its slot closes (the next `push_symbol`, or
+///   [`finish`](ForkFold::finish)).
+///
+/// The verdict equals [`validate_delta`]'s at the `is_ok` level, and
+/// errors are sticky as in [`StreamValidator`].
 #[derive(Debug, Clone)]
 pub struct ForkFold {
     fork: Fork,
     semi: SemiString,
-    validator: StreamValidator,
+    delta: usize,
+    /// The current slot's symbol (`⊥` before the first slot).
+    current: SemiSymbol,
+    /// Vertices labelled with the current slot so far.
+    current_count: usize,
+    /// Maximum honest `(depth, slot)` over slots `≤ t − Δ − 1`
+    /// ([`NO_MAX`] when none).
+    settled: (usize, usize),
+    /// Per-slot maximum honest `(depth, slot)` of the window slots
+    /// `t − Δ ..= t`; grows to `Δ + 1` entries, then wraps.
+    window: Vec<(usize, usize)>,
+    /// Ring position of the current slot in `window`.
+    head: usize,
+    error: Option<ForkError>,
 }
 
 impl ForkFold {
@@ -379,13 +423,19 @@ impl ForkFold {
         ForkFold {
             fork: Fork::trivial(),
             semi: SemiString::default(),
-            validator: StreamValidator::new(delta),
+            delta,
+            current: SemiSymbol::Empty,
+            current_count: 0,
+            settled: NO_MAX,
+            window: Vec::new(),
+            head: 0,
+            error: None,
         }
     }
 
     /// The delay bound Δ validated against.
     pub fn delta(&self) -> usize {
-        self.validator.delta()
+        self.delta
     }
 
     /// The fork built so far.
@@ -398,44 +448,106 @@ impl ForkFold {
         &self.semi
     }
 
-    /// Appends the next slot's symbol. Inside the fork's own
-    /// [`CharString`](multihonest_chars::CharString) an empty slot is
-    /// recorded as adversarial (the standard `⊥ → A` coercion — an empty
-    /// slot never carries vertices, which the validator enforces).
+    /// Closes the current slot and opens the next one with symbol `s`.
+    /// Inside the fork's own [`CharString`](multihonest_chars::CharString)
+    /// an empty slot is recorded as adversarial (the standard `⊥ → A`
+    /// coercion — an empty slot never carries vertices, which
+    /// [`push_vertex`](ForkFold::push_vertex) enforces).
     pub fn push_symbol(&mut self, s: SemiSymbol) {
+        self.close_slot();
         self.semi.push(s);
         self.fork
             .push_symbol(s.to_symbol().unwrap_or(Symbol::Adversarial));
-        self.validator.push_symbol(s);
+        self.current = s;
+        self.current_count = 0;
+        // Slide the (F4Δ) window: slot t − Δ − 1 leaves it for `settled`.
+        if self.window.len() <= self.delta {
+            self.head = self.window.len();
+            self.window.push(NO_MAX);
+        } else {
+            self.head = if self.head == self.delta {
+                0
+            } else {
+                self.head + 1
+            };
+            let leaving = std::mem::replace(&mut self.window[self.head], NO_MAX);
+            self.settled = self.settled.max(leaving);
+        }
     }
 
-    /// Adds a vertex under `parent` labelled `label`, observing it for
-    /// validation. Panics if `label` points at an empty slot or outside
-    /// the string streamed so far (producer bugs, not adversarial moves).
-    pub fn push_vertex(&mut self, parent: VertexId, label: usize) -> VertexId {
+    /// Adds a vertex under `parent`, labelled with the current slot, and
+    /// checks it. Panics if no slot is open or the current slot is empty
+    /// (producer bugs, not adversarial moves).
+    pub fn push_vertex(&mut self, parent: VertexId) -> VertexId {
+        let slot = self.semi.len();
         assert!(
-            label >= 1 && label <= self.semi.len() && !self.semi.get(label).is_empty_slot(),
-            "vertex labelled with empty or out-of-range slot {label}"
+            slot >= 1 && !self.current.is_empty_slot(),
+            "vertex labelled with empty or out-of-range slot {slot}"
         );
-        let v = self.fork.push_vertex(parent, label);
-        self.validator.observe(label, self.fork.depth(v));
+        let v = self.fork.push_vertex(parent, slot);
+        self.current_count += 1;
+        if self.error.is_some() || !self.current.is_honest() {
+            return v;
+        }
+        if self.current == SemiSymbol::UniqueHonest && self.current_count > 1 {
+            self.error = Some(ForkError::UniqueHonestMultiplicity {
+                slot,
+                count: self.current_count,
+            });
+            return v;
+        }
+        // (F4Δ): deeper than every honest vertex more than Δ slots back.
+        // `NO_MAX` has depth 0, below every vertex.
+        let depth = self.fork.depth(v);
+        let (earlier_depth, earlier_slot) = self.settled;
+        if depth <= earlier_depth {
+            self.error = Some(ForkError::HonestDepthOrder {
+                earlier_slot,
+                earlier_depth,
+                later_slot: slot,
+                later_depth: depth,
+            });
+            return v;
+        }
+        let entry = &mut self.window[self.head];
+        *entry = (*entry).max((depth, slot));
         v
     }
 
-    /// The verdict so far (see [`StreamValidator::status`]).
+    /// The verdict so far: `Ok` certifies every closed slot, while the
+    /// current slot may still be awaiting its honest vertices.
     pub fn status(&self) -> Result<(), ForkError> {
-        self.validator.status()
+        match &self.error {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
     }
 
-    /// Finishes the stream: closes (F3) completeness and hands back the
-    /// fork, its string and the verdict.
-    pub fn finish(self) -> StreamedFork {
-        let validation = self.validator.finish();
+    /// Finishes the stream: closes the last slot's (F3) check and hands
+    /// back the fork, its string and the verdict.
+    pub fn finish(mut self) -> StreamedFork {
+        self.close_slot();
         StreamedFork {
+            validation: self.status(),
             fork: self.fork,
             semi: self.semi,
-            validation,
         }
+    }
+
+    /// (F3) for the current slot, now that no more vertices can carry it.
+    fn close_slot(&mut self) {
+        if self.error.is_some() {
+            return;
+        }
+        let slot = self.semi.len();
+        let count = self.current_count;
+        self.error = match self.current {
+            SemiSymbol::UniqueHonest if count != 1 => {
+                Some(ForkError::UniqueHonestMultiplicity { slot, count })
+            }
+            SemiSymbol::MultiHonest if count == 0 => Some(ForkError::MultiHonestMissing { slot }),
+            _ => None,
+        };
     }
 }
 
@@ -642,16 +754,17 @@ mod tests {
     fn fork_fold_builds_and_validates() {
         let mut fold = ForkFold::new(0);
         fold.push_symbol(SemiSymbol::UniqueHonest);
-        let a = fold.push_vertex(VertexId::ROOT, 1);
+        let a = fold.push_vertex(VertexId::ROOT);
         fold.push_symbol(SemiSymbol::Adversarial);
-        let b = fold.push_vertex(a, 2);
+        let b = fold.push_vertex(a);
         fold.push_symbol(SemiSymbol::MultiHonest);
-        fold.push_vertex(b, 3);
-        fold.push_vertex(b, 3);
+        fold.push_vertex(b);
+        fold.push_vertex(b);
         assert!(fold.status().is_ok());
         let out = fold.finish();
         assert!(out.validation.is_ok());
         assert_eq!(out.fork.vertex_count(), 5);
+        assert_eq!(out.fork.label(b), 2);
         assert_eq!(out.semi.len(), 3);
         assert_eq!(out.validation.is_ok(), out.batch_validation(0).is_ok());
     }
@@ -660,7 +773,7 @@ mod tests {
     fn fork_fold_empty_slots_coerce_to_adversarial() {
         let mut fold = ForkFold::new(1);
         fold.push_symbol(SemiSymbol::UniqueHonest);
-        fold.push_vertex(VertexId::ROOT, 1);
+        fold.push_vertex(VertexId::ROOT);
         fold.push_symbol(SemiSymbol::Empty);
         let out = fold.finish();
         assert!(out.validation.is_ok());
@@ -673,7 +786,222 @@ mod tests {
     fn fork_fold_rejects_vertices_on_empty_slots() {
         let mut fold = ForkFold::new(0);
         fold.push_symbol(SemiSymbol::Empty);
-        fold.push_vertex(VertexId::ROOT, 1);
+        fold.push_vertex(VertexId::ROOT);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty or out-of-range slot")]
+    fn fork_fold_rejects_vertices_before_the_first_slot() {
+        ForkFold::new(0).push_vertex(VertexId::ROOT);
+    }
+
+    /// Streams `w` into a fold, giving slot `t` the vertices whose
+    /// parent indices are listed in `parents[t - 1]`.
+    fn fold(w: &str, parents: &[&[usize]], delta: usize) -> ForkFold {
+        let w = semi(w);
+        let mut fold = ForkFold::new(delta);
+        for (t, sym) in w.iter_slots() {
+            fold.push_symbol(sym);
+            for &p in parents.get(t - 1).copied().unwrap_or(&[]) {
+                fold.push_vertex(VertexId::from_index(p));
+            }
+        }
+        fold
+    }
+
+    #[test]
+    fn fork_fold_duplicate_unique_honest_fires_eagerly() {
+        let mut f = ForkFold::new(1);
+        f.push_symbol(SemiSymbol::UniqueHonest);
+        f.push_vertex(VertexId::ROOT);
+        assert!(f.status().is_ok());
+        f.push_vertex(VertexId::ROOT);
+        assert_eq!(
+            f.status(),
+            Err(ForkError::UniqueHonestMultiplicity { slot: 1, count: 2 })
+        );
+        // Sticky: the slot closing with count 3 does not overwrite it.
+        f.push_vertex(VertexId::ROOT);
+        f.push_symbol(SemiSymbol::Adversarial);
+        assert_eq!(
+            f.finish().validation,
+            Err(ForkError::UniqueHonestMultiplicity { slot: 1, count: 2 })
+        );
+    }
+
+    #[test]
+    fn fork_fold_missing_honest_vertices_fire_when_the_slot_closes() {
+        // `h` at slot 2 gets no vertex: open slot, no error yet; closed
+        // by slot 3's symbol, the error fires before the stream ends.
+        let mut f = fold("hh", &[&[0]], 0);
+        assert!(f.status().is_ok(), "slot 2 is still open");
+        f.push_symbol(SemiSymbol::Adversarial);
+        assert_eq!(
+            f.status(),
+            Err(ForkError::UniqueHonestMultiplicity { slot: 2, count: 0 })
+        );
+
+        let mut f = fold("hH", &[&[0]], 0);
+        assert!(f.status().is_ok(), "slot 2 is still open");
+        f.push_symbol(SemiSymbol::Empty);
+        assert_eq!(f.status(), Err(ForkError::MultiHonestMissing { slot: 2 }));
+    }
+
+    #[test]
+    fn fork_fold_missing_honest_vertex_in_the_last_slot_fires_at_finish() {
+        let f = fold("hAh", &[&[0], &[1]], 0);
+        assert!(f.status().is_ok());
+        assert_eq!(
+            f.finish().validation,
+            Err(ForkError::UniqueHonestMultiplicity { slot: 3, count: 0 })
+        );
+        let f = fold("AH", &[&[0]], 0);
+        assert_eq!(
+            f.finish().validation,
+            Err(ForkError::MultiHonestMissing { slot: 2 })
+        );
+    }
+
+    #[test]
+    fn fork_fold_window_edge_is_exactly_delta() {
+        // Honest slots 1 and j, both at depth 1 (children of the root):
+        // (F4Δ) binds iff 1 + Δ < j. The gap is filled with adversarial
+        // slots carrying no vertices.
+        for delta in 0..6 {
+            for j in 2..delta + 5 {
+                let w = format!("h{}h", "A".repeat(j - 2));
+                let mut parents: Vec<&[usize]> = vec![&[0]; j];
+                parents[1..j - 1].fill(&[]);
+                let out = fold(&w, &parents, delta).finish();
+                if 1 + delta < j {
+                    assert_eq!(
+                        out.validation,
+                        Err(ForkError::HonestDepthOrder {
+                            earlier_slot: 1,
+                            earlier_depth: 1,
+                            later_slot: j,
+                            later_depth: 1,
+                        }),
+                        "Δ = {delta}, j = {j}"
+                    );
+                } else {
+                    assert_eq!(out.validation, Ok(()), "Δ = {delta}, j = {j}");
+                }
+                assert_eq!(
+                    out.validation.is_ok(),
+                    out.batch_validation(delta).is_ok(),
+                    "Δ = {delta}, j = {j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fork_fold_remembers_slots_long_out_of_the_window() {
+        // A deep honest chain in slots 1..=4, then a long adversarial gap
+        // and an honest vertex grafted at depth 2: it must be rejected
+        // against slot 4 (depth 4), folded out of the ring many wraps ago.
+        for delta in 0..4 {
+            let gap = 3 * (delta + 1) + 2;
+            let w = format!("hhhh{}h", "A".repeat(gap));
+            let mut parents: Vec<&[usize]> = vec![&[0], &[1], &[2], &[3]];
+            parents.extend(std::iter::repeat_n(&[][..], gap));
+            parents.push(&[1]);
+            let out = fold(&w, &parents, delta).finish();
+            assert_eq!(
+                out.validation,
+                Err(ForkError::HonestDepthOrder {
+                    earlier_slot: 4,
+                    earlier_depth: 4,
+                    later_slot: 5 + gap,
+                    later_depth: 2,
+                }),
+                "Δ = {delta}"
+            );
+            assert!(out.batch_validation(delta).is_err());
+        }
+    }
+
+    #[test]
+    fn fork_fold_settled_keeps_the_maximum_not_the_latest() {
+        // Honest slot 3 sits at depth 3 (on an adversarial chain) and
+        // honest slot 5 at depth 1, legal at Δ = 2. Slot 9 at depth 2
+        // beats slot 5 but not slot 3; both are settled by then, so
+        // `settled` must hold the maximum over folded slots, not the
+        // latest one.
+        //   slot:   1 2 3 4 5 6 7 8 9
+        //   w   :   A A h A h A A A h
+        let w = "AAhAhAAAh";
+        // v1@1←root, v2@2←v1, v3@3←v2 (depth 3), v4@5←root (depth 1),
+        // v5@9←v4 (depth 2).
+        let parents: &[&[usize]] = &[&[0], &[1], &[2], &[], &[0], &[], &[], &[], &[4]];
+        for delta in 0..6 {
+            let out = fold(w, parents, delta).finish();
+            assert_eq!(
+                out.validation.is_ok(),
+                out.batch_validation(delta).is_ok(),
+                "Δ = {delta}"
+            );
+        }
+        // Δ = 1: slot 5 at depth 1 against slot 3 at depth 3 fails first.
+        assert!(matches!(
+            fold(w, parents, 1).finish().validation,
+            Err(ForkError::HonestDepthOrder {
+                earlier_slot: 3,
+                later_slot: 5,
+                ..
+            })
+        ));
+        // Δ = 2: slots 3 and 5 are within the window; slot 9 (depth 2)
+        // must still lose to slot 3 (depth 3), now settled.
+        assert_eq!(
+            fold(w, parents, 2).finish().validation,
+            Err(ForkError::HonestDepthOrder {
+                earlier_slot: 3,
+                earlier_depth: 3,
+                later_slot: 9,
+                later_depth: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn fork_fold_matches_batch_on_random_forks() {
+        // Random (valid) forks replayed in slot order: labels strictly
+        // increase along edges, so sorting by label is a valid insertion
+        // order. Invalid streams are covered by the repo-level proptest.
+        use crate::generate::{random_fork, GenerateConfig};
+        use multihonest_chars::BernoulliCondition;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x51_07);
+        let cond = BernoulliCondition::new(0.15, 0.35).unwrap();
+        for _ in 0..80 {
+            let n = rng.gen_range(1..24);
+            let w: multihonest_chars::CharString = cond.sample(&mut rng, n);
+            let fork = random_fork(&w, &mut rng, GenerateConfig::default());
+            let s: SemiString = w.iter_slots().map(|(_, x)| SemiSymbol::from(x)).collect();
+            let mut order: Vec<VertexId> = fork.vertices().skip(1).collect();
+            order.sort_by_key(|&v| fork.label(v));
+            for delta in 0..4 {
+                let mut f = ForkFold::new(delta);
+                let mut new_id = vec![VertexId::ROOT; fork.vertex_count()];
+                let mut next = order.iter().peekable();
+                for (t, sym) in s.iter_slots() {
+                    f.push_symbol(sym);
+                    while let Some(&v) = next.next_if(|v| fork.label(**v) == t) {
+                        let parent = new_id[fork.parent(v).expect("non-root").index()];
+                        new_id[v.index()] = f.push_vertex(parent);
+                    }
+                }
+                let out = f.finish();
+                assert_eq!(
+                    out.validation.is_ok(),
+                    validate_delta(&fork, &s, delta).is_ok(),
+                    "{w} Δ={delta}"
+                );
+                assert_eq!(out.fork.vertex_count(), fork.vertex_count());
+            }
+        }
     }
 
     #[test]

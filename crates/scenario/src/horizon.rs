@@ -66,7 +66,8 @@ use crate::schedule::{ColumnarSchedule, LeaderProbs};
 pub struct HorizonOptions {
     /// Slots per schedule segment (and per compaction attempt). Larger
     /// segments amortize sampling better; smaller ones compact — and
-    /// checkpoint — more often. Must be ≥ 1.
+    /// checkpoint — more often. Must be ≥ 1: 0 is refused with an
+    /// [`io::ErrorKind::InvalidInput`] error.
     pub segment_slots: usize,
     /// Settlement parameters to aggregate violation counts for.
     pub ks: Vec<usize>,
@@ -378,14 +379,15 @@ impl WalWriter {
 ///
 /// # Errors
 ///
-/// Fails when the WAL exists but belongs to different parameters, on any
-/// WAL I/O error, or when [`HorizonOptions::max_live_blocks`] is
-/// exceeded.
+/// Fails with [`io::ErrorKind::InvalidInput`] when
+/// [`HorizonOptions::segment_slots`] is 0; fails when the WAL exists but
+/// belongs to different parameters, on any WAL I/O error, or when
+/// [`HorizonOptions::max_live_blocks`] is exceeded.
 ///
 /// # Panics
 ///
-/// Panics if `segment_slots` is 0 or the probability table disagrees
-/// with `config` on the node count.
+/// Panics if the probability table disagrees with `config` on the node
+/// count.
 pub fn run_horizon(
     config: &SimConfig,
     probs: &LeaderProbs,
@@ -409,7 +411,12 @@ pub fn run_horizon_observed<R: Recorder>(
     rec: &mut R,
     mut heartbeat: Option<&mut Heartbeat>,
 ) -> io::Result<HorizonReport> {
-    assert!(opts.segment_slots > 0, "segment_slots must be positive");
+    if opts.segment_slots == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "segment_slots must be positive",
+        ));
+    }
     assert_eq!(
         probs.honest_nodes(),
         config.honest_nodes,
@@ -645,4 +652,31 @@ pub fn run_horizon_observed<R: Recorder>(
         peak_live_blocks: peak_live,
         resumed_at,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use multihonest_sim::{Strategy, TieBreak};
+
+    #[test]
+    fn zero_segment_is_an_invalid_input_error() {
+        let config = SimConfig {
+            honest_nodes: 4,
+            adversarial_stake: 0.3,
+            active_slot_coeff: 0.25,
+            delta: 2,
+            slots: 1_000,
+            tie_break: TieBreak::AdversarialOrder,
+            strategy: Strategy::PrivateWithholding,
+        };
+        let probs = LeaderProbs::weighted(&[0.175; 4], 0.3, 0.25);
+        let opts = HorizonOptions {
+            segment_slots: 0,
+            ..HorizonOptions::default()
+        };
+        let err = run_horizon(&config, &probs, 1, &opts).expect_err("segment 0 must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("segment_slots"), "{err}");
+    }
 }

@@ -4,7 +4,7 @@
 //! A [`ForkPipeline`] rides the engine as a [`SlotHook`]: at the end of
 //! every slot it classifies the slot from the schedule, folds the slot's
 //! freshly minted blocks into a [`ForkFold`] (the incremental fork
-//! builder with its `O(log n)`-per-vertex [`StreamValidator`]), and
+//! builder with its slot-ordered, `O(1)`-per-vertex axiom checks), and
 //! drives a **margin channel** — the streaming Δ-reduction `ρ_Δ`
 //! ([`StreamingReduction`]) feeding the Theorem 5 [`MarginState`]
 //! recurrence, with each reduced symbol's `(ρ, µ)` reported through
@@ -20,11 +20,10 @@
 //!
 //! * the columnar engine mints every block at the *current* slot (the
 //!   `SlotContext` pins the mint slot), so the store's tail between two
-//!   hook calls is exactly the new slot's blocks, in mint order;
-//! * block ids are dense with genesis `0`, so fork vertex ids align 1:1
-//!   with block ids and parent lookup is a vector index.
-//!
-//! [`StreamValidator`]: multihonest_fork::StreamValidator
+//!   hook calls is exactly the new slot's blocks, in mint order — the
+//!   fold's slot-ordered contract;
+//! * block ids are dense with genesis `0`, so fork vertex ids equal
+//!   block ids and a block's parent is its parent's vertex.
 
 use multihonest_chars::{Reduction, SemiString, StreamingReduction, Symbol};
 use multihonest_fork::{Fork, ForkError, ForkFold, VertexId};
@@ -51,10 +50,6 @@ use crate::store::ColumnarStore;
 pub struct ForkPipeline<'a> {
     schedule: &'a ColumnarSchedule,
     fold: ForkFold,
-    /// Block id → fork vertex id (index 0 is genesis ↔ root). With the
-    /// columnar store's dense ids this stays the identity map, which the
-    /// fold debug-asserts.
-    vertex_of: Vec<VertexId>,
     /// Blocks consumed from the store so far (genesis pre-consumed).
     synced: usize,
     reduction: StreamingReduction,
@@ -70,7 +65,6 @@ impl<'a> ForkPipeline<'a> {
         ForkPipeline {
             schedule,
             fold: ForkFold::new(delta),
-            vertex_of: vec![VertexId::ROOT],
             synced: 1,
             reduction: Reduction::new(delta).streaming(),
             margin: MarginState::at_split(0),
@@ -124,10 +118,9 @@ impl<S: MetricsSink> SlotHook<S> for ForkPipeline<'_> {
                 slot,
                 "columnar blocks are minted at the current slot"
             );
-            let parent = self.vertex_of[store.parent(id).expect("non-genesis") as usize];
-            let v = self.fold.push_vertex(parent, slot);
+            let parent = store.parent(id).expect("non-genesis") as usize;
+            let v = self.fold.push_vertex(VertexId::from_index(parent));
             debug_assert_eq!(v.index(), self.synced, "dense block/vertex id alignment");
-            self.vertex_of.push(v);
             self.synced += 1;
         }
         // Margin channel: Δ-reduce this slot's symbol; every reduced

@@ -485,7 +485,9 @@ impl Simulation {
     ///
     /// Extraction streams through a [`ForkFold`]: slot symbols and minted
     /// blocks interleave in one pass (blocks sit in the store in mint
-    /// order, which is non-decreasing in slot), so the Δ-axiom verdict is
+    /// order, which is non-decreasing in slot, so each block is pushed
+    /// while its own slot is open — the fold's slot-ordered contract),
+    /// and the Δ-axiom verdict is
     /// computed **online** while the fork materialises and is ready in
     /// [`ExtractedFork::streaming_validation`] with no second pass. The
     /// batch oracle [`ExtractedFork::validate_against_axioms`] is retained
@@ -502,7 +504,7 @@ impl Simulation {
             fold.push_symbol(sym);
             while let Some(block) = blocks.next_if(|b| b.slot == slot) {
                 let parent = vertex_of[block.parent.expect("non-genesis").index()];
-                vertex_of[block.id.index()] = fold.push_vertex(parent, block.slot);
+                vertex_of[block.id.index()] = fold.push_vertex(parent);
             }
         }
         debug_assert!(blocks.next().is_none(), "store is in slot order");

@@ -482,8 +482,8 @@ pub mod golden {
     /// emits), the streamed fork's vertex count, the online Δ-axiom
     /// verdict and the final `(ρ, µ)`. The first entry pins a
     /// **10⁵-slot** withholding execution validated and margin-tracked
-    /// entirely online: any drift in the [`ForkFold`] event order, the
-    /// Fenwick (F4Δ) checks, the streaming reduction `ρ_Δ` or the margin
+    /// entirely online: any drift in the [`ForkFold`] event order, its
+    /// (F3)/(F4Δ) checks, the streaming reduction `ρ_Δ` or the margin
     /// recurrence flips it.
     ///
     /// [`ForkFold`]: multihonest::fork::ForkFold
