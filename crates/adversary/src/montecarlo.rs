@@ -508,20 +508,11 @@ impl SimMonteCarlo {
     {
         sum_claimed(self.runs, self.threads, |i| {
             let seed = self.seed.wrapping_add(i);
-            let schedule = multihonest_scenario::ColumnarSchedule::sample(
-                self.cfg.honest_nodes,
-                self.cfg.adversarial_stake,
-                self.cfg.active_slot_coeff,
-                self.cfg.slots,
-                seed,
-            );
+            let schedule = multihonest_scenario::ColumnarSchedule::for_config(&self.cfg, seed);
             let mut strategy = self.cfg.strategy.instantiate();
-            let (metrics, index) = multihonest_scenario::ColumnarSimulation::run_streaming(
-                &self.cfg,
-                &schedule,
-                strategy.as_mut(),
-                &mut (),
-            );
+            let (metrics, index, _) =
+                multihonest_scenario::Execution::new(&self.cfg, &schedule, strategy.as_mut())
+                    .stream();
             f(&metrics, &index)
         })
     }

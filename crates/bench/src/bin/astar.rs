@@ -12,20 +12,27 @@
 //! ```
 
 use multihonest::adversary::CanonicalMonteCarlo;
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
-use multihonest_bench::{astar_bench_condition, astar_bench_report, default_threads};
+use multihonest_bench::cli::{self, flag_value, or_usage, parsed_flag, reject_unknown_flags};
+use multihonest_bench::{astar_bench_condition, astar_bench_report};
 
 const USAGE: &str = "astar [bench-report] [--quick] [--seed <u64>] [--threads <n>] [--out <path>]";
 
-const KNOWN_FLAGS: [&str; 4] = ["--quick", "--seed", "--threads", "--out"];
+const SWITCHES: [&str; 1] = ["--quick"];
+
+const VALUE_FLAGS: [&str; 3] = ["--seed", "--threads", "--out"];
+
+const WORDS: [&str; 1] = ["bench-report"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    or_usage(
+        reject_unknown_flags(&args, &SWITCHES, &VALUE_FLAGS, &WORDS),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let report_mode = args.iter().any(|a| a == "bench-report");
     let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(4);
-    let threads = or_usage(parsed_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
+    let threads = or_usage(cli::threads(&args), USAGE);
     // Quick-grid reports default to a separate file: BENCH_astar.json is
     // the committed full-grid baseline and must not be silently clobbered
     // with incomparable quick-grid numbers.

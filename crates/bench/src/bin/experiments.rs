@@ -15,16 +15,28 @@ use multihonest_bench as bench;
 
 const USAGE: &str = "experiments [--quick] [--json] [--threads <n>] [experiment-names...]";
 
-const KNOWN_FLAGS: [&str; 3] = ["--quick", "--json", "--threads"];
+const SWITCHES: [&str; 2] = ["--quick", "--json"];
+
+const VALUE_FLAGS: [&str; 1] = ["--threads"];
+
+const WORDS: [&str; 5] = [
+    "bound-vs-exact",
+    "tiebreak",
+    "delta-sync",
+    "thresholds",
+    "catalan-tails",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    bench::cli::or_usage(bench::cli::reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    bench::cli::or_usage(
+        bench::cli::reject_unknown_flags(&args, &SWITCHES, &VALUE_FLAGS, &WORDS),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
-    let threads = bench::cli::or_usage(bench::cli::parsed_flag(&args, "--threads"), USAGE)
-        .unwrap_or_else(bench::default_threads);
-    let wanted = bench::cli::positionals(&args, &["--threads"]);
+    let threads = bench::cli::or_usage(bench::cli::threads(&args), USAGE);
+    let wanted = bench::cli::positionals(&args, &VALUE_FLAGS);
     let run = |name: &str| wanted.is_empty() || wanted.contains(&name);
 
     if run("bound-vs-exact") {

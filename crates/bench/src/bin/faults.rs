@@ -16,16 +16,23 @@
 //! violation frequency escapes its Δ′-model prediction — the committed
 //! baseline always certifies a conservative fault layer.
 
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
-use multihonest_bench::{default_threads, faults_bench_report};
+use multihonest_bench::cli::{self, flag_value, or_usage, parsed_flag, reject_unknown_flags};
+use multihonest_bench::faults_bench_report;
 
 const USAGE: &str = "faults [--quick] [--seed <u64>] [--threads <n>] [--trials <n>] [--out <path>]";
 
-const KNOWN_FLAGS: [&str; 5] = ["--quick", "--seed", "--threads", "--trials", "--out"];
+const SWITCHES: [&str; 1] = ["--quick"];
+
+const VALUE_FLAGS: [&str; 4] = ["--seed", "--threads", "--trials", "--out"];
+
+const WORDS: [&str; 0] = [];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    or_usage(
+        reject_unknown_flags(&args, &SWITCHES, &VALUE_FLAGS, &WORDS),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
 
     // Full run: the same horizon as the scenario fingerprint pins; enough
@@ -38,7 +45,7 @@ fn main() {
     };
     let trials = or_usage(parsed_flag(&args, "--trials"), USAGE).unwrap_or(default_trials);
     let seed = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(0xC0FFEE);
-    let threads = or_usage(parsed_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
+    let threads = or_usage(cli::threads(&args), USAGE);
     // Quick-run reports default to a separate file: BENCH_faults.json is
     // the committed full baseline and must not be silently clobbered
     // with incomparable quick-run numbers.

@@ -21,11 +21,18 @@ use multihonest_bench::forkflow_bench_report;
 
 const USAGE: &str = "forkflow [--quick] [--seed <u64>] [--slots <n>] [--out <path>]";
 
-const KNOWN_FLAGS: [&str; 4] = ["--quick", "--seed", "--slots", "--out"];
+const SWITCHES: [&str; 1] = ["--quick"];
+
+const VALUE_FLAGS: [&str; 3] = ["--seed", "--slots", "--out"];
+
+const WORDS: [&str; 0] = [];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    or_usage(
+        reject_unknown_flags(&args, &SWITCHES, &VALUE_FLAGS, &WORDS),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
 
     // Full run: the million-slot headline plus the 10⁵-slot common-horizon

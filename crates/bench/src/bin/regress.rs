@@ -14,17 +14,24 @@
 //! Exits 0 when every check passes, 1 on any check failure or missing
 //! baseline, 2 on a malformed command line.
 
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
+use multihonest_bench::cli::{self, flag_value, or_usage, parsed_flag, reject_unknown_flags};
 use multihonest_bench::regress::{render_outcomes, run_regress, RegressOptions, REGRESS_TARGETS};
 
 const USAGE: &str =
     "regress [--quick] [--tolerance <f64>] [--only <target>] [--dir <path>] [--threads <n>]";
 
-const KNOWN_FLAGS: [&str; 5] = ["--quick", "--tolerance", "--only", "--dir", "--threads"];
+const SWITCHES: [&str; 1] = ["--quick"];
+
+const VALUE_FLAGS: [&str; 4] = ["--tolerance", "--only", "--dir", "--threads"];
+
+const WORDS: [&str; 0] = [];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    or_usage(
+        reject_unknown_flags(&args, &SWITCHES, &VALUE_FLAGS, &WORDS),
+        USAGE,
+    );
     let mut opts = RegressOptions {
         quick: args.iter().any(|a| a == "--quick"),
         ..RegressOptions::default()
@@ -39,9 +46,7 @@ fn main() {
     if let Some(dir) = or_usage(flag_value(&args, "--dir"), USAGE) {
         opts.baseline_dir = dir.into();
     }
-    if let Some(threads) = or_usage(parsed_flag(&args, "--threads"), USAGE) {
-        opts.threads = threads;
-    }
+    opts.threads = or_usage(cli::threads(&args), USAGE);
     let targets: Vec<&'static str> = match or_usage(flag_value(&args, "--only"), USAGE) {
         Some(name) => match REGRESS_TARGETS.iter().find(|t| **t == name) {
             Some(t) => vec![t],

@@ -15,7 +15,7 @@
 
 use multihonest::obs::{Heartbeat, ObsRecorder};
 use multihonest::sim::{SimConfig, Strategy, TieBreak};
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
+use multihonest_bench::cli::{self, flag_value, or_usage, parsed_flag, reject_unknown_flags};
 use multihonest_scenario::report::profile_headline;
 use multihonest_scenario::{
     run_horizon, run_horizon_observed, scenario_bench_report, HorizonOptions, LeaderProbs,
@@ -35,12 +35,24 @@ const USAGE: &str = "scenario [bench-report | horizon] [--quick] [--profile] [--
      [--threads <n>] [--out <path>] [--slots <n>] [--segment <n>] [--wal <path>] \
      [--trace <path>] [--events <path>] [--heartbeat <secs>]";
 
-const KNOWN_FLAGS: [&str; 11] = [
-    "--quick",
-    "--profile",
+const SWITCHES: [&str; 2] = ["--quick", "--profile"];
+
+const VALUE_FLAGS: [&str; 9] = [
     "--seed",
     "--threads",
     "--out",
+    "--slots",
+    "--segment",
+    "--wal",
+    "--trace",
+    "--events",
+    "--heartbeat",
+];
+
+const WORDS: [&str; 2] = ["bench-report", "horizon"];
+
+/// Flags only the `horizon` subcommand reads.
+const HORIZON_FLAGS: [&str; 6] = [
     "--slots",
     "--segment",
     "--wal",
@@ -148,18 +160,24 @@ fn run_horizon_cmd(args: &[String], seed: u64) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    or_usage(
+        reject_unknown_flags(&args, &SWITCHES, &VALUE_FLAGS, &WORDS),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     if args.iter().any(|a| a == "horizon") {
         let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);
         run_horizon_cmd(&args, seed);
         return;
     }
+    if let Some(flag) = args.iter().find(|a| HORIZON_FLAGS.contains(&a.as_str())) {
+        eprintln!("error: {flag} requires the horizon subcommand\nusage: {USAGE}");
+        std::process::exit(2);
+    }
     let report_mode = args.iter().any(|a| a == "bench-report");
     let profile = args.iter().any(|a| a == "--profile");
     let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);
-    let threads = or_usage(parsed_flag(&args, "--threads"), USAGE)
-        .unwrap_or_else(multihonest_bench::default_threads);
+    let threads = or_usage(cli::threads(&args), USAGE);
     // Quick-grid reports default to a separate file: BENCH_scenario.json
     // is the committed full-grid baseline and must not be silently
     // clobbered with incomparable quick-grid numbers.

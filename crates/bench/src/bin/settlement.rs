@@ -18,11 +18,18 @@ use multihonest_bench::{sim_bench_config, sim_bench_report};
 
 const USAGE: &str = "settlement [bench-report] [--quick] [--seed <u64>] [--out <path>]";
 
-const KNOWN_FLAGS: [&str; 3] = ["--quick", "--seed", "--out"];
+const SWITCHES: [&str; 1] = ["--quick"];
+
+const VALUE_FLAGS: [&str; 2] = ["--seed", "--out"];
+
+const WORDS: [&str; 1] = ["bench-report"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    or_usage(
+        reject_unknown_flags(&args, &SWITCHES, &VALUE_FLAGS, &WORDS),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let report_mode = args.iter().any(|a| a == "bench-report");
     let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);

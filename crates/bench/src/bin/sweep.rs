@@ -22,8 +22,8 @@
 use std::path::PathBuf;
 
 use multihonest::obs::{Heartbeat, ObsRecorder};
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
-use multihonest_bench::{default_threads, sweep_bench_report};
+use multihonest_bench::cli::{self, flag_value, or_usage, parsed_flag, reject_unknown_flags};
+use multihonest_bench::sweep_bench_report;
 use multihonest_sweep::{
     campaign_report, report_csv, report_json, run_campaign, run_campaign_observed, CampaignSpec,
     RunOptions,
@@ -33,8 +33,9 @@ const USAGE: &str = "sweep [bench-report] [--quick] [--seed <u64>] [--threads <n
                      [--out <path>] [--csv <path>] [--checkpoint <path>] \
                      [--stop-after-cells <n>] [--trace <path>] [--heartbeat <secs>]";
 
-const KNOWN_FLAGS: [&str; 9] = [
-    "--quick",
+const SWITCHES: [&str; 1] = ["--quick"];
+
+const VALUE_FLAGS: [&str; 8] = [
     "--seed",
     "--threads",
     "--out",
@@ -45,9 +46,14 @@ const KNOWN_FLAGS: [&str; 9] = [
     "--heartbeat",
 ];
 
+const WORDS: [&str; 1] = ["bench-report"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    or_usage(
+        reject_unknown_flags(&args, &SWITCHES, &VALUE_FLAGS, &WORDS),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let report_mode = args.iter().any(|a| a == "bench-report");
 
@@ -59,7 +65,7 @@ fn main() {
     if let Some(seed) = or_usage(parsed_flag(&args, "--seed"), USAGE) {
         spec.seed = seed;
     }
-    let threads = or_usage(parsed_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
+    let threads = or_usage(cli::threads(&args), USAGE);
     let checkpoint: Option<PathBuf> =
         or_usage(flag_value(&args, "--checkpoint"), USAGE).map(PathBuf::from);
     let stop_after_cells: Option<usize> = or_usage(parsed_flag(&args, "--stop-after-cells"), USAGE);

@@ -14,23 +14,29 @@
 //! cargo run -p multihonest-bench --release --bin table1 -- --threads 4
 //! ```
 
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
+use multihonest_bench::cli::{self, flag_value, or_usage, reject_unknown_flags};
 use multihonest_bench::{
-    bench_report, default_threads, generate_table1_threads, render_table1, TABLE1_ALPHAS,
-    TABLE1_KS, TABLE1_RATIOS,
+    bench_report, generate_table1_threads, render_table1, TABLE1_ALPHAS, TABLE1_KS, TABLE1_RATIOS,
 };
 
 const USAGE: &str = "table1 [bench-report] [--quick] [--json] [--threads <n>] [--out <path>]";
 
-const KNOWN_FLAGS: [&str; 4] = ["--quick", "--json", "--threads", "--out"];
+const SWITCHES: [&str; 2] = ["--quick", "--json"];
+
+const VALUE_FLAGS: [&str; 2] = ["--threads", "--out"];
+
+const WORDS: [&str; 1] = ["bench-report"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    or_usage(
+        reject_unknown_flags(&args, &SWITCHES, &VALUE_FLAGS, &WORDS),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let report_mode = args.iter().any(|a| a == "bench-report");
-    let threads = or_usage(parsed_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
+    let threads = or_usage(cli::threads(&args), USAGE);
     // Quick-grid reports default to a separate file: BENCH_margin.json is
     // the committed full-grid baseline and must not be silently clobbered
     // with incomparable quick-grid numbers.

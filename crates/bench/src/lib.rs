@@ -489,15 +489,36 @@ pub mod cli {
         }
     }
 
-    /// Fails on any `--` token outside `known` — catches typos like
-    /// `--thread` before they are silently ignored.
-    pub fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), CliError> {
-        match args
-            .iter()
-            .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    /// Fails on any `--` token outside `switches` and `value_flags`, and
+    /// on any positional word outside `words` (a value-taking flag's value
+    /// is not positional) — catches typos like `--thread` or `horzion`
+    /// before they are silently ignored.
+    pub fn reject_unknown_flags(
+        args: &[String],
+        switches: &[&str],
+        value_flags: &[&str],
+        words: &[&str],
+    ) -> Result<(), CliError> {
+        let known = |a: &str| switches.contains(&a) || value_flags.contains(&a);
+        if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known(a)) {
+            return Err(CliError(format!("unknown flag '{flag}'")));
+        }
+        match positionals(args, value_flags)
+            .into_iter()
+            .find(|w| !words.contains(w))
         {
-            Some(flag) => Err(CliError(format!("unknown flag '{flag}'"))),
+            Some(word) => Err(CliError(format!("unknown argument '{word}'"))),
             None => Ok(()),
+        }
+    }
+
+    /// The `--threads` worker count: all cores when absent, and an error
+    /// for 0 — a run needs at least one worker.
+    pub fn threads(args: &[String]) -> Result<usize, CliError> {
+        match parsed_flag(args, "--threads")? {
+            Some(0) => Err(CliError("--threads must be at least 1".to_string())),
+            Some(n) => Ok(n),
+            None => Ok(super::default_threads()),
         }
     }
 
@@ -576,8 +597,8 @@ pub mod cli {
         #[test]
         fn unknown_flags_are_caught() {
             let a = args(&["--thread", "4"]);
-            assert!(reject_unknown_flags(&a, &["--threads"]).is_err());
-            assert_eq!(reject_unknown_flags(&a, &["--thread"]), Ok(()));
+            assert!(reject_unknown_flags(&a, &[], &["--threads"], &[]).is_err());
+            assert_eq!(reject_unknown_flags(&a, &[], &["--thread"], &[]), Ok(()));
         }
 
         #[test]
@@ -1199,7 +1220,7 @@ pub fn faults_bench_report(
     threads: usize,
     seed: u64,
 ) -> FaultsBenchReport {
-    use multihonest_scenario::{execution_fingerprint, fault_library, ColumnarSimulation};
+    use multihonest_scenario::{execution_fingerprint, fault_library, Execution};
     use multihonest_sweep::check_conservatism;
 
     let start = std::time::Instant::now();
@@ -1215,12 +1236,9 @@ pub fn faults_bench_report(
     for sc in &library {
         let schedule = sc.schedule(eq_seed);
         let mut strategy = sc.config.strategy.instantiate();
-        let (sim, ledger) = ColumnarSimulation::run_with_schedule_faults(
-            &sc.config,
-            &schedule,
-            strategy.as_mut(),
-            &sc.plan,
-        );
+        let (sim, ledger) = Execution::new(&sc.config, &schedule, strategy.as_mut())
+            .faults(&sc.plan)
+            .trace();
         fingerprint_checksum = fingerprint_checksum.wrapping_add(execution_fingerprint(&sim));
         let mut ref_strategy = sc.config.strategy.instantiate();
         let (_, ref_ledger) = Simulation::run_with_schedule_faults(
@@ -1403,13 +1421,7 @@ pub fn forkflow_bench_report(
 
     // --- Validation comparison at the common horizon. ---
     let config = cfg(baseline_slots);
-    let schedule = ColumnarSchedule::sample(
-        config.honest_nodes,
-        config.adversarial_stake,
-        config.active_slot_coeff,
-        config.slots,
-        seed,
-    );
+    let schedule = ColumnarSchedule::for_config(&config, seed);
     let mut strategy = config.strategy.instantiate();
     let mut probe = MarginChannelProbe::default();
     let t0 = std::time::Instant::now();
@@ -1445,13 +1457,7 @@ pub fn forkflow_bench_report(
 
     // --- Headline streaming run: no replay at all. ---
     let config = cfg(streaming_slots);
-    let schedule = ColumnarSchedule::sample(
-        config.honest_nodes,
-        config.adversarial_stake,
-        config.active_slot_coeff,
-        config.slots,
-        seed,
-    );
+    let schedule = ColumnarSchedule::for_config(&config, seed);
     let mut strategy = config.strategy.instantiate();
     let mut probe = MarginChannelProbe::default();
     let t0 = std::time::Instant::now();

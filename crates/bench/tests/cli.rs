@@ -2,7 +2,8 @@
 //! flag/value/positional interleavings, `flag_value` never hands a flag
 //! back as a value, errors exactly when the grammar says it must, and
 //! `positionals` partitions cleanly against the flags. End-to-end checks
-//! run the binaries themselves with an unknown flag or a bad value.
+//! run the binaries themselves with an unknown flag, a stray word, a bad
+//! value or `--threads 0`.
 
 use multihonest_bench::cli::{flag_value, parsed_flag, positionals, reject_unknown_flags};
 use proptest::prelude::*;
@@ -107,15 +108,23 @@ proptest! {
         }
     }
 
-    /// The unknown-flag guard accepts exactly the vectors whose `--`
-    /// tokens all come from the known set.
+    /// The unknown-argument guard accepts exactly the vectors whose `--`
+    /// tokens all come from the known flags and whose positional words
+    /// (tokens not following a value-taking flag) all come from the known
+    /// words.
     #[test]
     fn unknown_flag_guard_is_exact(args in arb_args()) {
-        let known = ["--seed", "--threads", "--out", "--quick"];
-        let ok = reject_unknown_flags(&args, &known).is_ok();
-        let expect = args
-            .iter()
-            .all(|a| !a.starts_with("--") || known.contains(&a.as_str()));
+        let switches = ["--quick"];
+        let values = ["--seed", "--threads", "--out"];
+        let words = ["bench-report"];
+        let ok = reject_unknown_flags(&args, &switches, &values, &words).is_ok();
+        let expect = args.iter().enumerate().all(|(i, a)| {
+            if a.starts_with("--") {
+                switches.contains(&a.as_str()) || values.contains(&a.as_str())
+            } else {
+                words.contains(&a.as_str()) || (i > 0 && values.contains(&args[i - 1].as_str()))
+            }
+        });
         prop_assert_eq!(ok, expect, "{:?}", args);
     }
 }
@@ -180,4 +189,56 @@ fn scenario_horizon_rejects_zero_segment() {
         &["horizon", "--slots", "1000", "--segment", "0"],
         "--segment",
     );
+}
+
+/// Stray positional words, `--threads 0` and `scenario`'s horizon-only
+/// flags without `horizon` are usage errors in every binary — each of
+/// these command lines used to run (or half-run) and exit 0.
+#[test]
+fn binaries_reject_stray_words_and_zero_threads() {
+    let astar = env!("CARGO_BIN_EXE_astar");
+    let experiments = env!("CARGO_BIN_EXE_experiments");
+    let faults = env!("CARGO_BIN_EXE_faults");
+    let forkflow = env!("CARGO_BIN_EXE_forkflow");
+    let regress = env!("CARGO_BIN_EXE_regress");
+    let scenario = env!("CARGO_BIN_EXE_scenario");
+    let settlement = env!("CARGO_BIN_EXE_settlement");
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    let cases: &[(&str, &[&str], &str)] = &[
+        (scenario, &["horzion", "--quick"], "'horzion'"),
+        (scenario, &["bench-reprot", "--quick"], "'bench-reprot'"),
+        (experiments, &["bogus", "--quick"], "'bogus'"),
+        (table1, &["bogus", "--quick"], "'bogus'"),
+        (sweep, &["bogus", "--quick"], "'bogus'"),
+        (astar, &["bogus", "--quick"], "'bogus'"),
+        (settlement, &["bogus", "--quick"], "'bogus'"),
+        (faults, &["bogus", "--quick"], "'bogus'"),
+        (forkflow, &["bogus", "--quick"], "'bogus'"),
+        (regress, &["bogus", "--quick"], "'bogus'"),
+        (
+            table1,
+            &["bench-report", "--quick", "--threads", "0"],
+            "--threads",
+        ),
+        (faults, &["--quick", "--threads", "0"], "--threads"),
+        (
+            scenario,
+            &["bench-report", "--quick", "--threads", "0"],
+            "--threads",
+        ),
+        (sweep, &["--quick", "--threads", "0"], "--threads"),
+        (astar, &["--quick", "--threads", "0"], "--threads"),
+        (experiments, &["--quick", "--threads", "0"], "--threads"),
+        (regress, &["--quick", "--threads", "0"], "--threads"),
+        (scenario, &["--quick", "--slots", "1000"], "--slots"),
+        (scenario, &["--quick", "--segment", "64"], "--segment"),
+        (scenario, &["--quick", "--wal", "w.wal"], "--wal"),
+        (scenario, &["--quick", "--trace", "t.json"], "--trace"),
+        (scenario, &["--quick", "--events", "e.jsonl"], "--events"),
+        (scenario, &["--quick", "--heartbeat", "0"], "--heartbeat"),
+    ];
+    for &(bin, args, needle) in cases {
+        assert_usage_error(bin, args, needle);
+    }
 }

@@ -18,7 +18,7 @@
 //!
 //! **The batch law.** Batching is a pure amortization: for every seed,
 //! the produced [`TrialOutput`] is identical to an independent
-//! [`ColumnarSimulation::run_streaming_faults`] over a freshly sampled
+//! [`Execution::stream`] under the same plan over a freshly sampled
 //! schedule — for any batch size, any trial order within the driving
 //! loop, and any arena history (a short horizon after a long one reuses
 //! the same buffers). `tests/batch_execution.rs` pins this law, and the
@@ -31,7 +31,7 @@ use multihonest_sim::metrics::Metrics;
 use multihonest_sim::strategy::AdversaryStrategy;
 use multihonest_sim::SimConfig;
 
-use crate::engine::{ColumnarSimulation, ExecutionArena};
+use crate::engine::{Execution, ExecutionArena};
 use crate::schedule::{ColumnarSchedule, LeaderProbs};
 
 /// The complete observable outcome of one batched trial — exactly what
@@ -107,14 +107,11 @@ impl BatchExecution {
         for seed in seeds {
             self.schedule.resample_from_probs(probs, config.slots, seed);
             let mut strategy = make_strategy(seed);
-            let (metrics, divergence, ledger) = ColumnarSimulation::run_streaming_faults_in(
-                &mut self.arena,
-                config,
-                &self.schedule,
-                strategy.as_mut(),
-                plan,
-                &mut (),
-            );
+            let (metrics, divergence, ledger) =
+                Execution::new(config, &self.schedule, strategy.as_mut())
+                    .faults(plan)
+                    .arena(&mut self.arena)
+                    .stream();
             each(TrialOutput {
                 seed,
                 metrics,

@@ -222,8 +222,8 @@ impl SlotContext for ColumnarSlotContext<'_> {
 ///
 /// The trait is generic over the sink so hook implementations can call
 /// statically-dispatched sink methods; `()` is the no-op hook every
-/// plain entry point uses, costing nothing in the loop.
-pub trait SlotHook<S: MetricsSink> {
+/// plain terminal uses, costing nothing in the loop.
+pub(crate) trait SlotHook<S: MetricsSink> {
     /// Observes the end of `slot` (1-based).
     fn on_slot_end(&mut self, slot: usize, store: &ColumnarStore, sink: &mut S);
 }
@@ -275,9 +275,9 @@ fn receive(
 
 /// A finished columnar execution with full traces retained — the
 /// query-compatible counterpart of the reference `Simulation`, produced
-/// by [`ColumnarSimulation::run`]. For runs where no per-slot trace is
-/// wanted (the million-slot regime), use
-/// [`ColumnarSimulation::run_streaming`].
+/// by [`ColumnarSimulation::run`] or [`Execution::trace`]. For runs where
+/// no per-slot trace is wanted (the million-slot regime), use
+/// [`Execution::stream`].
 #[derive(Debug, Clone)]
 pub struct ColumnarSimulation {
     config: SimConfig,
@@ -296,129 +296,16 @@ impl ColumnarSimulation {
     /// configured built-in strategy — the drop-in columnar counterpart of
     /// `Simulation::run`, with bit-identical traces.
     pub fn run(config: &SimConfig, seed: u64) -> ColumnarSimulation {
+        let schedule = ColumnarSchedule::for_config(config, seed);
         let mut strategy = config.strategy.instantiate();
-        ColumnarSimulation::run_with(config, seed, strategy.as_mut())
+        Execution::new(config, &schedule, strategy.as_mut())
+            .trace()
+            .0
     }
 
-    /// Runs an execution with an arbitrary [`AdversaryStrategy`].
-    pub fn run_with(
-        config: &SimConfig,
-        seed: u64,
-        strategy: &mut dyn AdversaryStrategy,
-    ) -> ColumnarSimulation {
-        let schedule = ColumnarSchedule::sample(
-            config.honest_nodes,
-            config.adversarial_stake,
-            config.active_slot_coeff,
-            config.slots,
-            seed,
-        );
-        ColumnarSimulation::run_with_schedule(config, &schedule, strategy)
-    }
-
-    /// Runs an execution over an explicit columnar schedule
-    /// (heterogeneous stake profiles sample theirs with
-    /// [`ColumnarSchedule::sample_weighted`]) and an arbitrary strategy,
-    /// retaining the full tip/rollback traces.
-    pub fn run_with_schedule(
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-    ) -> ColumnarSimulation {
-        let empty = FaultPlan::default();
-        ColumnarSimulation::run_with_schedule_faults(config, schedule, strategy, &empty).0
-    }
-
-    /// Runs a trace-retaining execution under a [`FaultPlan`]: crashed
-    /// nodes skip their leadership slots and every due delivery passes
-    /// through the plan's predicate, exactly as in the reference engine's
-    /// `run_with_schedule_faults` — faulty executions stay
-    /// trace-identical across engines. The empty plan is bit-identical to
-    /// [`ColumnarSimulation::run_with_schedule`]. Returns the execution
-    /// together with its [`DegradationLedger`].
-    pub fn run_with_schedule_faults(
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        plan: &FaultPlan,
-    ) -> (ColumnarSimulation, DegradationLedger) {
-        ColumnarSimulation::run_with_schedule_faults_recorded(
-            config,
-            schedule,
-            strategy,
-            plan,
-            &mut (),
-            &mut (),
-        )
-    }
-
-    /// The fully-instrumented trace-retaining entry point: identical to
-    /// [`run_with_schedule_faults`](Self::run_with_schedule_faults) with
-    /// a [`MetricsSink`] and an obs [`Recorder`] attached. The recorder
-    /// only observes (spans, laps, registry updates), so an instrumented
-    /// run reproduces the plain run's fingerprints bit-for-bit — the
-    /// bit-identity law `tests/observability.rs` pins. Sink and recorder
-    /// are separate generic parameters so callers can pass an obs-backed
-    /// sink and a recorder without a double borrow.
-    pub fn run_with_schedule_faults_recorded<S: MetricsSink, R: Recorder>(
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        plan: &FaultPlan,
-        sink: &mut S,
-        rec: &mut R,
-    ) -> (ColumnarSimulation, DegradationLedger) {
-        let mut arena = ExecutionArena::new();
-        let mut faults = FaultRuntime::new(plan, config.honest_nodes, config.slots);
-        rec.span_begin("scenario.execute");
-        let out = execute(
-            &mut arena,
-            config,
-            schedule,
-            strategy,
-            true,
-            sink,
-            &mut (),
-            &mut faults,
-            rec,
-        );
-        rec.span_end("scenario.execute");
-        (
-            ColumnarSimulation {
-                config: *config,
-                store: arena.store,
-                tips_flat: out.tips_flat,
-                tips_end: out.tips_end,
-                rollbacks: out.rollbacks,
-                divergence: out.divergence,
-                metrics: out.metrics,
-            },
-            faults.finish(),
-        )
-    }
-
-    /// Runs a **streaming** execution: no per-slot traces are retained —
-    /// constant-size working state beyond the block arena and the
-    /// `O(slots)` divergence index — and every per-slot observation is
-    /// forwarded to `sink`. Returns the end-of-run metrics and the
-    /// settlement index.
-    pub fn run_streaming<S: MetricsSink>(
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        sink: &mut S,
-    ) -> (Metrics, DivergenceIndex) {
-        let mut arena = ExecutionArena::new();
-        ColumnarSimulation::run_streaming_in(&mut arena, config, schedule, strategy, sink)
-    }
-
-    /// The **batch** entry point: a streaming execution that reuses the
-    /// caller's [`ExecutionArena`] instead of allocating block/delivery
-    /// arenas afresh — trace-identical to [`run_streaming`], amortizing
-    /// heap traffic to zero across a campaign of seeds. This is the
-    /// kernel campaign sweeps drive once per trial.
-    ///
-    /// [`run_streaming`]: ColumnarSimulation::run_streaming
+    /// A streaming execution over the caller's reused arena — shorthand
+    /// for `Execution::new(..).arena(arena).sink(sink).stream()` without
+    /// the (always empty) ledger.
     pub fn run_streaming_in<S: MetricsSink>(
         arena: &mut ExecutionArena,
         config: &SimConfig,
@@ -426,115 +313,11 @@ impl ColumnarSimulation {
         strategy: &mut dyn AdversaryStrategy,
         sink: &mut S,
     ) -> (Metrics, DivergenceIndex) {
-        let empty = FaultPlan::default();
-        let (metrics, divergence, _) = ColumnarSimulation::run_streaming_faults_in(
-            arena, config, schedule, strategy, &empty, sink,
-        );
+        let (metrics, divergence, _) = Execution::new(config, schedule, strategy)
+            .arena(arena)
+            .sink(sink)
+            .stream();
         (metrics, divergence)
-    }
-
-    /// A streaming execution under a [`FaultPlan`] — the fault-aware
-    /// sibling of [`ColumnarSimulation::run_streaming`]. Deferral events
-    /// reach the sink through
-    /// [`MetricsSink::on_fault_deferral`].
-    pub fn run_streaming_faults<S: MetricsSink>(
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        plan: &FaultPlan,
-        sink: &mut S,
-    ) -> (Metrics, DivergenceIndex, DegradationLedger) {
-        let mut arena = ExecutionArena::new();
-        ColumnarSimulation::run_streaming_faults_in(
-            &mut arena, config, schedule, strategy, plan, sink,
-        )
-    }
-
-    /// The batch fault-aware entry point: a streaming faulty execution
-    /// over a reused [`ExecutionArena`] — what the campaign sweep drives
-    /// when its fault axis is non-empty.
-    pub fn run_streaming_faults_in<S: MetricsSink>(
-        arena: &mut ExecutionArena,
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        plan: &FaultPlan,
-        sink: &mut S,
-    ) -> (Metrics, DivergenceIndex, DegradationLedger) {
-        let mut faults = FaultRuntime::new(plan, config.honest_nodes, config.slots);
-        let out = execute(
-            arena,
-            config,
-            schedule,
-            strategy,
-            false,
-            sink,
-            &mut (),
-            &mut faults,
-            &mut (),
-        );
-        (out.metrics, out.divergence, faults.finish())
-    }
-
-    /// A streaming execution with an obs [`Recorder`] attached: identical
-    /// traces to [`run_streaming_in`](Self::run_streaming_in), with the
-    /// kernel charging wall-clock laps under [`Phase::label`] names at
-    /// every phase boundary — the engine behind `scenario bench-report
-    /// --profile`. Plain entry points thread the no-op `()` recorder
-    /// through the same generic parameter and pay nothing.
-    pub fn run_streaming_profiled<S: MetricsSink, P: Recorder>(
-        arena: &mut ExecutionArena,
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        sink: &mut S,
-        prof: &mut P,
-    ) -> (Metrics, DivergenceIndex) {
-        let empty = FaultPlan::default();
-        let mut faults = FaultRuntime::new(&empty, config.honest_nodes, config.slots);
-        let out = execute(
-            arena,
-            config,
-            schedule,
-            strategy,
-            false,
-            sink,
-            &mut (),
-            &mut faults,
-            prof,
-        );
-        (out.metrics, out.divergence)
-    }
-
-    /// A streaming execution with a [`SlotHook`] attached: identical to
-    /// [`run_streaming_faults_in`](Self::run_streaming_faults_in) except
-    /// that `hook` observes the block arena at the end of every slot —
-    /// the entry point of the streaming fork pipeline (see
-    /// [`crate::pipeline`]). The hook cannot perturb the execution (it
-    /// sees the store read-only), so a hooked run stays trace-identical
-    /// to its unhooked sibling.
-    pub fn run_streaming_hooked<S: MetricsSink, H: SlotHook<S>>(
-        arena: &mut ExecutionArena,
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        plan: &FaultPlan,
-        sink: &mut S,
-        hook: &mut H,
-    ) -> (Metrics, DivergenceIndex, DegradationLedger) {
-        let mut faults = FaultRuntime::new(plan, config.honest_nodes, config.slots);
-        let out = execute(
-            arena,
-            config,
-            schedule,
-            strategy,
-            false,
-            sink,
-            hook,
-            &mut faults,
-            &mut (),
-        );
-        (out.metrics, out.divergence, faults.finish())
     }
 
     /// The configuration used.
@@ -593,11 +376,200 @@ impl ColumnarSimulation {
     }
 }
 
+/// One columnar execution, configured by builder methods and run by a
+/// terminal — the single entry point of the columnar engine.
+///
+/// [`Execution::new`] takes the required inputs; every option defaults
+/// to the no-op a plain run uses:
+///
+/// * [`faults`](Execution::faults) — a [`FaultPlan`] (default: empty).
+///   Crashed nodes skip their leadership slots and every due delivery
+///   passes through the plan's predicate, exactly as in the reference
+///   engine, so faulty executions stay trace-identical across engines;
+///   deferrals reach the sink through [`MetricsSink::on_fault_deferral`];
+/// * [`arena`](Execution::arena) — a reused [`ExecutionArena`] (default:
+///   a fresh one). Reuse is trace-identical to a fresh arena and
+///   amortizes heap traffic to zero across a campaign of seeds;
+/// * [`sink`](Execution::sink) — a [`MetricsSink`] fed every per-slot
+///   observation (default: `()`; pass `&mut s` to keep ownership);
+/// * [`recorder`](Execution::recorder) — an obs [`Recorder`] charged
+///   with a `scenario.execute` span and per-phase laps under
+///   [`Phase::label`] names (default: `()`, which compiles to nothing).
+///   Recorders only observe, so an instrumented run reproduces the plain
+///   run bit-for-bit.
+///
+/// Terminals: [`stream`](Execution::stream) retains no per-slot trace
+/// (constant working state beyond the block arena and the `O(slots)`
+/// divergence index); [`trace`](Execution::trace) keeps the full
+/// tip/rollback traces as a [`ColumnarSimulation`];
+/// [`validated`](Execution::validated) streams with the fork pipeline
+/// attached (see [`crate::pipeline`]).
+///
+/// ```
+/// use multihonest_scenario::{ColumnarSchedule, Execution};
+/// use multihonest_sim::{SimConfig, Strategy, TieBreak};
+///
+/// let config = SimConfig {
+///     honest_nodes: 5,
+///     adversarial_stake: 0.3,
+///     active_slot_coeff: 0.3,
+///     delta: 1,
+///     slots: 200,
+///     tie_break: TieBreak::AdversarialOrder,
+///     strategy: Strategy::PrivateWithholding,
+/// };
+/// let schedule = ColumnarSchedule::for_config(&config, 7);
+/// let mut strategy = config.strategy.instantiate();
+/// let (metrics, index, _ledger) =
+///     Execution::new(&config, &schedule, strategy.as_mut()).stream();
+/// assert_eq!(metrics.slots, 200);
+/// assert_eq!(index.slots(), 200);
+/// ```
+pub struct Execution<'a, S = (), R = ()> {
+    pub(crate) config: &'a SimConfig,
+    pub(crate) schedule: &'a ColumnarSchedule,
+    strategy: &'a mut dyn AdversaryStrategy,
+    plan: Option<&'a FaultPlan>,
+    arena: Option<&'a mut ExecutionArena>,
+    pub(crate) sink: S,
+    recorder: R,
+}
+
+impl<'a> Execution<'a> {
+    /// An execution of `strategy` over `schedule` under `config`, with
+    /// every option at its no-op default.
+    pub fn new(
+        config: &'a SimConfig,
+        schedule: &'a ColumnarSchedule,
+        strategy: &'a mut dyn AdversaryStrategy,
+    ) -> Execution<'a> {
+        Execution {
+            config,
+            schedule,
+            strategy,
+            plan: None,
+            arena: None,
+            sink: (),
+            recorder: (),
+        }
+    }
+}
+
+impl<'a, S: MetricsSink, R: Recorder> Execution<'a, S, R> {
+    /// Runs under `plan`.
+    pub fn faults(self, plan: &'a FaultPlan) -> Self {
+        Execution {
+            plan: Some(plan),
+            ..self
+        }
+    }
+
+    /// Runs in `arena` instead of a fresh one.
+    pub fn arena(self, arena: &'a mut ExecutionArena) -> Self {
+        Execution {
+            arena: Some(arena),
+            ..self
+        }
+    }
+
+    /// Forwards every per-slot observation to `sink`.
+    pub fn sink<T: MetricsSink>(self, sink: T) -> Execution<'a, T, R> {
+        Execution {
+            config: self.config,
+            schedule: self.schedule,
+            strategy: self.strategy,
+            plan: self.plan,
+            arena: self.arena,
+            sink,
+            recorder: self.recorder,
+        }
+    }
+
+    /// Charges spans and per-phase laps to `recorder`.
+    pub fn recorder<T: Recorder>(self, recorder: T) -> Execution<'a, S, T> {
+        Execution {
+            config: self.config,
+            schedule: self.schedule,
+            strategy: self.strategy,
+            plan: self.plan,
+            arena: self.arena,
+            sink: self.sink,
+            recorder,
+        }
+    }
+
+    /// Runs without per-slot traces; returns the end-of-run metrics, the
+    /// settlement index and the fault ledger (empty without a plan).
+    pub fn stream(mut self) -> (Metrics, DivergenceIndex, DegradationLedger) {
+        let (out, ledger, _) = self.drive(false, &mut ());
+        (out.metrics, out.divergence, ledger)
+    }
+
+    /// Runs retaining the full tip/rollback traces. The block store moves
+    /// out of whichever arena the run used.
+    pub fn trace(mut self) -> (ColumnarSimulation, DegradationLedger) {
+        let (out, ledger, store) = self.drive(true, &mut ());
+        let sim = ColumnarSimulation {
+            config: *self.config,
+            store: store.expect("trace mode keeps the store"),
+            tips_flat: out.tips_flat,
+            tips_end: out.tips_end,
+            rollbacks: out.rollbacks,
+            divergence: out.divergence,
+            metrics: out.metrics,
+        };
+        (sim, ledger)
+    }
+
+    /// The fan-in of every terminal: runs the kernel once with `hook`
+    /// attached and returns its output, the fault ledger and — when
+    /// `keep_trace` — the block store taken out of the arena. The sink
+    /// stays in `self` for terminals that feed it afterwards.
+    pub(crate) fn drive<H: SlotHook<S>>(
+        &mut self,
+        keep_trace: bool,
+        hook: &mut H,
+    ) -> (ExecOutput, DegradationLedger, Option<ColumnarStore>) {
+        let mut fresh;
+        let arena = match self.arena.as_deref_mut() {
+            Some(arena) => arena,
+            None => {
+                fresh = ExecutionArena::new();
+                &mut fresh
+            }
+        };
+        let empty;
+        let plan = match self.plan {
+            Some(plan) => plan,
+            None => {
+                empty = FaultPlan::default();
+                &empty
+            }
+        };
+        let mut faults = FaultRuntime::new(plan, self.config.honest_nodes, self.config.slots);
+        self.recorder.span_begin("scenario.execute");
+        let out = execute(
+            arena,
+            self.config,
+            self.schedule,
+            &mut *self.strategy,
+            keep_trace,
+            &mut self.sink,
+            hook,
+            &mut faults,
+            &mut self.recorder,
+        );
+        self.recorder.span_end("scenario.execute");
+        let store = keep_trace.then(|| std::mem::take(&mut arena.store));
+        (out, faults.finish(), store)
+    }
+}
+
 /// Reusable working state for batch execution: the block store, delivery
 /// ring, per-node views and per-slot scratch buffers of one execution,
 /// reset in place between seeds. One arena per worker thread turns a
 /// campaign of millions of executions into zero steady-state allocation —
-/// see [`ColumnarSimulation::run_streaming_in`].
+/// see [`Execution::arena`].
 #[derive(Debug)]
 pub struct ExecutionArena {
     pub(crate) store: ColumnarStore,
@@ -695,12 +667,12 @@ impl ExecutionArena {
 
 /// The per-run outputs of [`execute`] (the block store stays in the
 /// arena; trace columns are empty in streaming mode).
-struct ExecOutput {
+pub(crate) struct ExecOutput {
     tips_flat: Vec<u32>,
     tips_end: Vec<u32>,
     rollbacks: Vec<(u32, u32, u32)>,
-    divergence: DivergenceIndex,
-    metrics: Metrics,
+    pub(crate) divergence: DivergenceIndex,
+    pub(crate) metrics: Metrics,
 }
 
 /// The cross-segment mutable state of one execution that is **not** the
@@ -752,9 +724,8 @@ impl EngineCore {
     }
 }
 
-// Private fan-in of every public entry point: each parameter is one
-// caller-facing knob, and bundling them into a struct would only move
-// the argument list one call up.
+// The kernel entry behind [`Execution::drive`]: each parameter is one
+// builder option resolved to its concrete value.
 #[allow(clippy::too_many_arguments)]
 fn execute<S: MetricsSink, H: SlotHook<S>, P: Recorder>(
     arena: &mut ExecutionArena,
@@ -1244,6 +1215,7 @@ fn finish_full(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multihonest_obs::ObsRecorder;
     use multihonest_sim::{FaultDirective, Simulation, Strategy};
 
     fn cfg(strategy: Strategy, delta: usize, slots: usize) -> SimConfig {
@@ -1295,19 +1267,14 @@ mod tests {
     #[test]
     fn streaming_mode_matches_trace_mode() {
         let config = cfg(Strategy::PrivateWithholding, 2, 500);
-        let schedule = ColumnarSchedule::sample(
-            config.honest_nodes,
-            config.adversarial_stake,
-            config.active_slot_coeff,
-            config.slots,
-            3,
-        );
+        let schedule = ColumnarSchedule::for_config(&config, 3);
         let mut s1 = config.strategy.instantiate();
-        let traced = ColumnarSimulation::run_with_schedule(&config, &schedule, s1.as_mut());
+        let (traced, _) = Execution::new(&config, &schedule, s1.as_mut()).trace();
         let mut s2 = config.strategy.instantiate();
         let mut acc = MetricsAccumulator::new();
-        let (metrics, index) =
-            ColumnarSimulation::run_streaming(&config, &schedule, s2.as_mut(), &mut acc);
+        let (metrics, index, _) = Execution::new(&config, &schedule, s2.as_mut())
+            .sink(&mut acc)
+            .stream();
         assert_eq!(&metrics, traced.metrics());
         assert_eq!(&index, traced.divergence_index());
         assert_eq!(acc.max_slot_divergence(), metrics.max_slot_divergence);
@@ -1327,15 +1294,9 @@ mod tests {
         ] {
             let mut config = cfg(strategy, delta, 350);
             config.honest_nodes = nodes;
-            let schedule = ColumnarSchedule::sample(
-                config.honest_nodes,
-                config.adversarial_stake,
-                config.active_slot_coeff,
-                config.slots,
-                seed,
-            );
+            let schedule = ColumnarSchedule::for_config(&config, seed);
             let mut s1 = strategy.instantiate();
-            let fresh = ColumnarSimulation::run_streaming(&config, &schedule, s1.as_mut(), &mut ());
+            let fresh = Execution::new(&config, &schedule, s1.as_mut()).stream();
             let mut s2 = strategy.instantiate();
             let reused = ColumnarSimulation::run_streaming_in(
                 &mut arena,
@@ -1349,27 +1310,161 @@ mod tests {
         }
     }
 
+    /// One run's observable outcome: metrics, settlement index, fault
+    /// ledger, and the execution fingerprint when the terminal kept a trace.
+    type Outcome = (Metrics, DivergenceIndex, DegradationLedger, Option<u64>);
+
+    fn finish<S: MetricsSink, R: Recorder>(exec: Execution<'_, S, R>, trace: bool) -> Outcome {
+        if trace {
+            let (sim, ledger) = exec.trace();
+            let fingerprint = crate::execution_fingerprint(&sim);
+            (sim.metrics, sim.divergence, ledger, Some(fingerprint))
+        } else {
+            let (metrics, divergence, ledger) = exec.stream();
+            (metrics, divergence, ledger, None)
+        }
+    }
+
+    /// Attaches `plan`, or leaves the default (empty) plan.
+    fn with_plan<'a>(e: Execution<'a>, plan: Option<&'a FaultPlan>) -> Execution<'a> {
+        match plan {
+            Some(plan) => e.faults(plan),
+            None => e,
+        }
+    }
+
+    /// Accumulates the metrics stream and counts fault deferrals.
+    #[derive(Default)]
+    struct CheckSink {
+        acc: MetricsAccumulator,
+        deferrals: u64,
+    }
+
+    impl MetricsSink for CheckSink {
+        fn on_slot(&mut self, slot: usize, tips: usize, height: usize, div: usize) {
+            self.acc.on_slot(slot, tips, height, div);
+        }
+
+        fn on_rollback(&mut self, slot: usize, old_height: usize, new_height: usize) {
+            self.acc.on_rollback(slot, old_height, new_height);
+        }
+
+        fn on_fault_deferral(&mut self, _slot: usize, _recipient: usize, _to: usize) {
+            self.deferrals += 1;
+        }
+    }
+
+    /// The builder law: every option combination — {stream, trace} ×
+    /// {fresh, reused arena} × {empty, partition plan} × {`()`, sink} ×
+    /// {`()`, recorder}, plus `validated` — observes one execution. One
+    /// arena is carried across configurations with different seeds,
+    /// strategies, Δs and node counts (a campaign's shape), so reuse after
+    /// a longer or wider run is covered too.
+    #[test]
+    fn every_builder_option_observes_the_same_execution() {
+        let mut arena = ExecutionArena::new();
+        // `bites`: whether the partition window defers any delivery.
+        for (seed, strategy, delta, nodes, slots, bites) in [
+            (
+                1u64,
+                Strategy::PrivateWithholding,
+                2usize,
+                6usize,
+                350usize,
+                true,
+            ),
+            (2, Strategy::BalanceAttack, 0, 6, 350, false),
+            (3, Strategy::Honest, 4, 3, 350, false),
+            (4, Strategy::PrivateWithholding, 1, 9, 350, true),
+            (3, Strategy::PrivateWithholding, 2, 6, 500, true),
+            (17, Strategy::PrivateWithholding, 2, 6, 400, true),
+        ] {
+            let config = SimConfig {
+                honest_nodes: nodes,
+                ..cfg(strategy, delta, slots)
+            };
+            let schedule = ColumnarSchedule::for_config(&config, seed);
+            let partition = FaultPlan::new().with(FaultDirective::Partition {
+                groups: vec![(0..nodes / 2).collect(), (nodes / 2..nodes).collect()],
+                start: 60,
+                heal_slot: 66,
+            });
+            for plan in [None, Some(&partition)] {
+                let case = format!("seed {seed}, {strategy}, Δ {delta}, {nodes} nodes, {plan:?}");
+                let mut s = strategy.instantiate();
+                let expect = finish(
+                    with_plan(Execution::new(&config, &schedule, s.as_mut()), plan),
+                    true,
+                );
+                assert_eq!(
+                    expect.2.deferred > 0,
+                    plan.is_some() && bites,
+                    "{case}: bites"
+                );
+                for trace in [false, true] {
+                    for reuse in [false, true] {
+                        for (with_sink, with_rec) in
+                            [(false, false), (true, false), (false, true), (true, true)]
+                        {
+                            let mut s = strategy.instantiate();
+                            let e = with_plan(Execution::new(&config, &schedule, s.as_mut()), plan);
+                            let e = if reuse { e.arena(&mut arena) } else { e };
+                            let mut sink = CheckSink::default();
+                            let mut rec = ObsRecorder::new();
+                            let got = match (with_sink, with_rec) {
+                                (false, false) => finish(e, trace),
+                                (true, false) => finish(e.sink(&mut sink), trace),
+                                (false, true) => finish(e.recorder(&mut rec), trace),
+                                (true, true) => finish(e.sink(&mut sink).recorder(&mut rec), trace),
+                            };
+                            let case = format!(
+                                "{case}: trace {trace}, reuse {reuse}, sink {with_sink}, \
+                                 recorder {with_rec}"
+                            );
+                            assert_eq!(got.0, expect.0, "{case}: metrics");
+                            assert_eq!(got.1, expect.1, "{case}: index");
+                            assert_eq!(got.2, expect.2, "{case}: ledger");
+                            if trace {
+                                assert_eq!(got.3, expect.3, "{case}: fingerprint");
+                            }
+                            if with_sink {
+                                assert_eq!(
+                                    sink.acc.max_slot_divergence(),
+                                    got.0.max_slot_divergence,
+                                    "{case}: sink sees every slot"
+                                );
+                                assert_eq!(sink.deferrals, got.2.deferred, "{case}: deferrals");
+                            }
+                            if with_rec {
+                                assert_eq!(rec.events()[0].name, "scenario.execute", "{case}");
+                            }
+                        }
+                    }
+                }
+                let mut s = strategy.instantiate();
+                let mut sink = CheckSink::default();
+                let validated = with_plan(Execution::new(&config, &schedule, s.as_mut()), plan)
+                    .arena(&mut arena)
+                    .sink(&mut sink)
+                    .validated();
+                assert_eq!(validated.metrics, expect.0, "{case}: validated metrics");
+                assert_eq!(validated.divergence, expect.1, "{case}: validated index");
+                assert_eq!(validated.ledger, expect.2, "{case}: validated ledger");
+                assert_eq!(sink.deferrals, expect.2.deferred, "{case}: validated sink");
+            }
+        }
+    }
+
     /// Asserts a *faulty* columnar run is trace-identical to the
     /// reference engine under the same plan — including the degradation
     /// ledgers.
     fn assert_faulty_matches_reference(config: &SimConfig, plan: &FaultPlan, seed: u64) {
-        let cs = ColumnarSchedule::sample(
-            config.honest_nodes,
-            config.adversarial_stake,
-            config.active_slot_coeff,
-            config.slots,
-            seed,
-        );
-        let rs = multihonest_sim::LeaderSchedule::sample(
-            config.honest_nodes,
-            config.adversarial_stake,
-            config.active_slot_coeff,
-            config.slots,
-            seed,
-        );
+        let cs = ColumnarSchedule::for_config(config, seed);
+        let rs = multihonest_sim::LeaderSchedule::for_config(config, seed);
         let mut s1 = config.strategy.instantiate();
-        let (cols, cl) =
-            ColumnarSimulation::run_with_schedule_faults(config, &cs, s1.as_mut(), plan);
+        let (cols, cl) = Execution::new(config, &cs, s1.as_mut())
+            .faults(plan)
+            .trace();
         let mut s2 = config.strategy.instantiate();
         let (refr, rl) = Simulation::run_with_schedule_faults(config, rs, s2.as_mut(), plan);
         for t in 0..=config.slots {
@@ -1436,37 +1531,22 @@ mod tests {
             start: 60,
             heal_slot: 66,
         });
-        let schedule = ColumnarSchedule::sample(
-            config.honest_nodes,
-            config.adversarial_stake,
-            config.active_slot_coeff,
-            config.slots,
-            17,
-        );
+        let schedule = ColumnarSchedule::for_config(&config, 17);
         let mut s1 = config.strategy.instantiate();
-        let (traced, tl) =
-            ColumnarSimulation::run_with_schedule_faults(&config, &schedule, s1.as_mut(), &plan);
+        let (traced, tl) = Execution::new(&config, &schedule, s1.as_mut())
+            .faults(&plan)
+            .trace();
         let mut s2 = config.strategy.instantiate();
-        let mut deferrals = 0u64;
-        struct CountSink<'a>(&'a mut u64);
-        impl MetricsSink for CountSink<'_> {
-            fn on_fault_deferral(&mut self, _slot: usize, _recipient: usize, _to: usize) {
-                *self.0 += 1;
-            }
-        }
-        let mut sink = CountSink(&mut deferrals);
-        let (metrics, index, sl) = ColumnarSimulation::run_streaming_faults(
-            &config,
-            &schedule,
-            s2.as_mut(),
-            &plan,
-            &mut sink,
-        );
+        let mut sink = CheckSink::default();
+        let (metrics, index, sl) = Execution::new(&config, &schedule, s2.as_mut())
+            .faults(&plan)
+            .sink(&mut sink)
+            .stream();
         assert_eq!(&metrics, traced.metrics());
         assert_eq!(&index, traced.divergence_index());
         assert_eq!(tl, sl, "ledgers across modes");
-        assert_eq!(deferrals, sl.deferred, "sink sees every deferral");
-        assert!(deferrals > 0, "the partition must bite");
+        assert_eq!(sink.deferrals, sl.deferred, "sink sees every deferral");
+        assert!(sink.deferrals > 0, "the partition must bite");
     }
 
     #[test]

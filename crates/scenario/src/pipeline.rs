@@ -1,7 +1,7 @@
 //! The streaming fork pipeline: online Δ-axiom validation and margin
 //! tracking inside the columnar slot loop.
 //!
-//! A [`ForkPipeline`] rides the engine as a [`SlotHook`]: at the end of
+//! A `ForkPipeline` rides the engine as a per-slot hook: at the end of
 //! every slot it classifies the slot from the schedule, folds the slot's
 //! freshly minted blocks into a [`ForkFold`] (the incremental fork
 //! builder with its slot-ordered, `O(1)`-per-vertex axiom checks), and
@@ -11,7 +11,7 @@
 //! [`MetricsSink::on_margin`].
 //!
 //! The payoff is the acceptance criterion of the streaming refactor: a
-//! 10⁶-slot columnar execution leaves [`run_streaming_validated`] with
+//! 10⁶-slot columnar execution leaves [`Execution::validated`] with
 //! its fork built, its (F1)–(F3)+(F4Δ) verdict decided and its margin
 //! trajectory streamed, in one pass, with **no** reference-engine replay
 //! and no post-hoc `validate_delta` sweep over the finished fork.
@@ -28,26 +28,23 @@
 use multihonest_chars::{Reduction, SemiString, StreamingReduction, Symbol};
 use multihonest_fork::{Fork, ForkError, ForkFold, VertexId};
 use multihonest_margin::recurrence::MarginState;
+use multihonest_obs::Recorder;
 use multihonest_sim::consistency::DivergenceIndex;
-use multihonest_sim::fault::{DegradationLedger, FaultPlan};
+use multihonest_sim::fault::DegradationLedger;
 use multihonest_sim::metrics::{Metrics, MetricsSink};
 use multihonest_sim::strategy::AdversaryStrategy;
 use multihonest_sim::SimConfig;
 
-use crate::engine::{ColumnarSimulation, ExecutionArena, SlotHook};
+use crate::engine::{Execution, SlotHook};
 use crate::schedule::ColumnarSchedule;
 use crate::store::ColumnarStore;
 
 /// The streaming fork pipeline: a [`SlotHook`] that builds the
 /// execution's fork, validates the Δ-axioms and streams the margin
-/// channel while the columnar engine runs.
-///
-/// Drive it through
-/// [`ColumnarSimulation::run_streaming_hooked`] (or the bundled
-/// [`run_streaming_validated`] entry point), then call
-/// [`finish`](ForkPipeline::finish) for the fork and verdicts.
+/// channel while the columnar engine runs. [`Execution::validated`]
+/// attaches one and calls [`finish`](ForkPipeline::finish) after the run.
 #[derive(Debug)]
-pub struct ForkPipeline<'a> {
+pub(crate) struct ForkPipeline<'a> {
     schedule: &'a ColumnarSchedule,
     fold: ForkFold,
     /// Blocks consumed from the store so far (genesis pre-consumed).
@@ -61,7 +58,7 @@ pub struct ForkPipeline<'a> {
 impl<'a> ForkPipeline<'a> {
     /// A pipeline for delay bound `delta` over `schedule` (which supplies
     /// the per-slot classification the store alone cannot).
-    pub fn new(delta: usize, schedule: &'a ColumnarSchedule) -> ForkPipeline<'a> {
+    pub(crate) fn new(delta: usize, schedule: &'a ColumnarSchedule) -> ForkPipeline<'a> {
         ForkPipeline {
             schedule,
             fold: ForkFold::new(delta),
@@ -72,15 +69,10 @@ impl<'a> ForkPipeline<'a> {
         }
     }
 
-    /// The verdict so far (sticky on the first violation).
-    pub fn status(&self) -> Result<(), ForkError> {
-        self.fold.status()
-    }
-
     /// Finishes the pipeline: flushes the reduction's pending window
     /// (emitting any final margin observations into `sink`), closes the
     /// (F3) completeness check and hands back fork and verdicts.
-    pub fn finish<S: MetricsSink>(self, sink: &mut S) -> PipelineOutput {
+    pub(crate) fn finish<S: MetricsSink>(self, sink: &mut S) -> PipelineOutput {
         let ForkPipeline {
             fold,
             reduction,
@@ -134,7 +126,7 @@ impl<S: MetricsSink> SlotHook<S> for ForkPipeline<'_> {
     }
 }
 
-/// What a finished [`ForkPipeline`] hands back.
+/// The fork and verdicts of a validated execution.
 #[derive(Debug, Clone)]
 pub struct PipelineOutput {
     /// The execution's fork (block ids ↔ vertex ids, genesis ↔ root).
@@ -165,50 +157,36 @@ pub struct ValidatedExecution {
     pub pipeline: PipelineOutput,
 }
 
-/// Runs a streaming columnar execution with the fork pipeline attached:
-/// one pass over the horizon yields metrics, settlement index, the
-/// execution's fork, its online Δ-axiom verdict and the margin
-/// trajectory (streamed through `sink`'s
-/// [`on_margin`](MetricsSink::on_margin)).
+impl<S: MetricsSink, R: Recorder> Execution<'_, S, R> {
+    /// Runs streaming with the fork pipeline attached: one pass over the
+    /// horizon yields metrics, settlement index, fault ledger, the
+    /// execution's fork, its online Δ-axiom verdict and the margin
+    /// trajectory (streamed through the sink's
+    /// [`on_margin`](MetricsSink::on_margin)). The pipeline only observes,
+    /// so metrics, index and ledger equal those of [`Execution::stream`].
+    pub fn validated(mut self) -> ValidatedExecution {
+        let mut pipeline = ForkPipeline::new(self.config.delta, self.schedule);
+        let (out, ledger, _) = self.drive(false, &mut pipeline);
+        ValidatedExecution {
+            metrics: out.metrics,
+            divergence: out.divergence,
+            ledger,
+            pipeline: pipeline.finish(&mut self.sink),
+        }
+    }
+}
+
+/// A fault-free validated execution on a fresh arena — shorthand for
+/// `Execution::new(..).sink(sink).validated()`.
 pub fn run_streaming_validated<S: MetricsSink>(
     config: &SimConfig,
     schedule: &ColumnarSchedule,
     strategy: &mut dyn AdversaryStrategy,
     sink: &mut S,
 ) -> ValidatedExecution {
-    let mut arena = ExecutionArena::new();
-    let empty = FaultPlan::default();
-    run_streaming_validated_faults_in(&mut arena, config, schedule, strategy, &empty, sink)
-}
-
-/// The batch fault-aware sibling of [`run_streaming_validated`]: reuses
-/// the caller's arena and applies a [`FaultPlan`], for campaign-style
-/// validated sweeps.
-pub fn run_streaming_validated_faults_in<S: MetricsSink>(
-    arena: &mut ExecutionArena,
-    config: &SimConfig,
-    schedule: &ColumnarSchedule,
-    strategy: &mut dyn AdversaryStrategy,
-    plan: &FaultPlan,
-    sink: &mut S,
-) -> ValidatedExecution {
-    let mut pipeline = ForkPipeline::new(config.delta, schedule);
-    let (metrics, divergence, ledger) = ColumnarSimulation::run_streaming_hooked(
-        arena,
-        config,
-        schedule,
-        strategy,
-        plan,
-        sink,
-        &mut pipeline,
-    );
-    let pipeline = pipeline.finish(sink);
-    ValidatedExecution {
-        metrics,
-        divergence,
-        ledger,
-        pipeline,
-    }
+    Execution::new(config, schedule, strategy)
+        .sink(sink)
+        .validated()
 }
 
 #[cfg(test)]
@@ -245,13 +223,7 @@ mod tests {
             for delta in [0usize, 2] {
                 let config = cfg(strategy, delta, 300);
                 let seed = 11;
-                let schedule = ColumnarSchedule::sample(
-                    config.honest_nodes,
-                    config.adversarial_stake,
-                    config.active_slot_coeff,
-                    config.slots,
-                    seed,
-                );
+                let schedule = ColumnarSchedule::for_config(&config, seed);
                 let mut s1 = config.strategy.instantiate();
                 let mut log = MarginLog::default();
                 let out = run_streaming_validated(&config, &schedule, s1.as_mut(), &mut log);
@@ -282,8 +254,7 @@ mod tests {
                 // Metrics and index are those of the unhooked run — the
                 // hook observes, never perturbs.
                 let mut s2 = config.strategy.instantiate();
-                let (metrics, index) =
-                    ColumnarSimulation::run_streaming(&config, &schedule, s2.as_mut(), &mut ());
+                let (metrics, index, _) = Execution::new(&config, &schedule, s2.as_mut()).stream();
                 assert_eq!(out.metrics, metrics);
                 assert_eq!(out.divergence, index);
             }
@@ -294,13 +265,7 @@ mod tests {
     fn margin_channel_matches_batch_reduction_and_recurrence() {
         for delta in [0usize, 1, 3] {
             let config = cfg(Strategy::PrivateWithholding, delta, 400);
-            let schedule = ColumnarSchedule::sample(
-                config.honest_nodes,
-                config.adversarial_stake,
-                config.active_slot_coeff,
-                config.slots,
-                23,
-            );
+            let schedule = ColumnarSchedule::for_config(&config, 23);
             let mut strategy = config.strategy.instantiate();
             let mut log = MarginLog::default();
             let out = run_streaming_validated(&config, &schedule, strategy.as_mut(), &mut log);
@@ -336,25 +301,15 @@ mod tests {
             start: 40,
             heal_slot: 46,
         });
-        let mut arena = ExecutionArena::new();
+        let mut arena = crate::ExecutionArena::new();
         for (delta, expect_ok) in [(2usize, false), (8, true)] {
             let config = cfg(Strategy::PrivateWithholding, delta, 300);
-            let schedule = ColumnarSchedule::sample(
-                config.honest_nodes,
-                config.adversarial_stake,
-                config.active_slot_coeff,
-                config.slots,
-                13,
-            );
+            let schedule = ColumnarSchedule::for_config(&config, 13);
             let mut strategy = config.strategy.instantiate();
-            let out = run_streaming_validated_faults_in(
-                &mut arena,
-                &config,
-                &schedule,
-                strategy.as_mut(),
-                &plan,
-                &mut (),
-            );
+            let out = Execution::new(&config, &schedule, strategy.as_mut())
+                .faults(&plan)
+                .arena(&mut arena)
+                .validated();
             assert_eq!(
                 out.pipeline.validation.is_ok(),
                 expect_ok,
@@ -373,13 +328,7 @@ mod tests {
             assert!(out.ledger.deferred > 0, "the partition must bite");
             // Faulty executions stay trace-identical across engines, so
             // the streamed fork still matches the reference extraction.
-            let rs = LeaderSchedule::sample(
-                config.honest_nodes,
-                config.adversarial_stake,
-                config.active_slot_coeff,
-                config.slots,
-                13,
-            );
+            let rs = LeaderSchedule::for_config(&config, 13);
             let mut s2 = config.strategy.instantiate();
             let (refr, _) = Simulation::run_with_schedule_faults(&config, rs, s2.as_mut(), &plan);
             assert_eq!(&out.pipeline.fork, refr.fork().fork());

@@ -1,12 +1,12 @@
 //! Per-phase timing instrumentation for the columnar slot kernel,
 //! unified onto the [`multihonest_obs::Recorder`] surface.
 //!
-//! The engine loop is generic over a [`Recorder`]; every plain entry
-//! point passes the no-op `()` implementation, which compiles to nothing
-//! — the hot loop pays zero instructions for the instrumentation hooks.
-//! `scenario bench-report --profile` threads a [`PhaseTimes`] through
-//! instead ([`ColumnarSimulation::run_streaming_profiled`]) and prints
-//! the per-phase breakdown next to the headline Mslots/s figure.
+//! The engine loop is generic over a [`Recorder`]; a plain
+//! [`Execution`] carries the no-op `()` implementation, which compiles to
+//! nothing — the hot loop pays zero instructions for the instrumentation
+//! hooks. `scenario bench-report --profile` attaches a [`PhaseTimes`]
+//! instead ([`Execution::recorder`]) and prints the per-phase breakdown
+//! next to the headline Mslots/s figure.
 //!
 //! [`PhaseTimes`] is a thin adapter over [`multihonest_obs::LapTimes`]:
 //! the kernel charges laps under [`Phase::label`] names, and the adapter
@@ -18,8 +18,8 @@
 //! — the breakdown is for finding where the time goes, not for quoting
 //! absolute throughput.
 //!
-//! [`ColumnarSimulation::run_streaming_profiled`]:
-//!     crate::ColumnarSimulation::run_streaming_profiled
+//! [`Execution`]: crate::Execution
+//! [`Execution::recorder`]: crate::Execution::recorder
 
 use multihonest_obs::{LapTimes, Recorder};
 
@@ -38,7 +38,8 @@ pub enum Phase {
     /// Distinct-tip fold: uniq/divergence computation, the streaming
     /// `DivergenceFold`, and the metrics sink.
     Fold,
-    /// The attached `SlotHook` (e.g. the streaming fork pipeline).
+    /// The attached per-slot hook (the streaming fork pipeline of
+    /// `Execution::validated`).
     Hook,
 }
 

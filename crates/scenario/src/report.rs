@@ -13,7 +13,7 @@ use serde::Serialize;
 
 use multihonest_sim::{Simulation, Strategy};
 
-use crate::engine::ColumnarSimulation;
+use crate::engine::Execution;
 use crate::scenario::{scenario_library, Scenario};
 use crate::{execution_fingerprint, ColumnarSchedule};
 
@@ -149,8 +149,7 @@ fn assert_equivalent(sc: &Scenario, seed: u64) -> (f64, f64) {
     let col_schedule = sc.schedule(seed);
     let mut col_strategy = sc.strategy();
     let col_start = std::time::Instant::now();
-    let columnar =
-        ColumnarSimulation::run_with_schedule(&sc.config, &col_schedule, col_strategy.as_mut());
+    let (columnar, _) = Execution::new(&sc.config, &col_schedule, col_strategy.as_mut()).trace();
     let col_seconds = col_start.elapsed().as_secs_f64();
 
     for t in 1..=sc.config.slots {
@@ -228,7 +227,7 @@ pub fn scenario_bench_report(
         let schedule = sc.schedule(seed);
         let mut strategy = sc.strategy();
         let start = std::time::Instant::now();
-        let sim = ColumnarSimulation::run_with_schedule(&sc.config, &schedule, strategy.as_mut());
+        let (sim, _) = Execution::new(&sc.config, &schedule, strategy.as_mut()).trace();
         let run_seconds = start.elapsed().as_secs_f64();
         let m = *sim.metrics();
         ScenarioRow {
@@ -257,11 +256,10 @@ pub fn scenario_bench_report(
     // 3. The acceptance-criterion throughput headline: a streaming
     //    million-slot PrivateWithholding execution.
     let headline_cfg = headline_config(million_slots);
-    let schedule = headline_schedule(&headline_cfg, seed);
+    let schedule = ColumnarSchedule::for_config(&headline_cfg, seed);
     let mut strategy = headline_cfg.strategy.instantiate();
     let start = std::time::Instant::now();
-    let (metrics, _index) =
-        ColumnarSimulation::run_streaming(&headline_cfg, &schedule, strategy.as_mut(), &mut ());
+    let (metrics, _, _) = Execution::new(&headline_cfg, &schedule, strategy.as_mut()).stream();
     let million_run_seconds = start.elapsed().as_secs_f64();
     assert_eq!(metrics.slots, million_slots);
 
@@ -300,17 +298,6 @@ fn headline_config(slots: usize) -> multihonest_sim::SimConfig {
     cfg
 }
 
-/// The headline's leader schedule for `seed`.
-fn headline_schedule(cfg: &multihonest_sim::SimConfig, seed: u64) -> ColumnarSchedule {
-    ColumnarSchedule::sample(
-        cfg.honest_nodes,
-        cfg.adversarial_stake,
-        cfg.active_slot_coeff,
-        cfg.slots,
-        seed,
-    )
-}
-
 /// Re-runs the throughput headline (`slots` of `PrivateWithholding`) with
 /// the kernel's per-phase profiler attached — the engine behind `scenario
 /// bench-report --profile`. Returns the phase breakdown; note the
@@ -318,18 +305,12 @@ fn headline_schedule(cfg: &multihonest_sim::SimConfig, seed: u64) -> ColumnarSch
 /// executed phase per slot), so its total is not a throughput figure.
 pub fn profile_headline(slots: usize, seed: u64) -> crate::profile::PhaseTimes {
     let cfg = headline_config(slots);
-    let schedule = headline_schedule(&cfg, seed);
+    let schedule = ColumnarSchedule::for_config(&cfg, seed);
     let mut strategy = cfg.strategy.instantiate();
-    let mut arena = crate::ExecutionArena::new();
     let mut prof = crate::profile::PhaseTimes::new();
-    let (metrics, _index) = ColumnarSimulation::run_streaming_profiled(
-        &mut arena,
-        &cfg,
-        &schedule,
-        strategy.as_mut(),
-        &mut (),
-        &mut prof,
-    );
+    let (metrics, _, _) = Execution::new(&cfg, &schedule, strategy.as_mut())
+        .recorder(&mut prof)
+        .stream();
     assert_eq!(metrics.slots, slots);
     prof
 }

@@ -473,26 +473,14 @@ pub struct FaultScenario {
 impl FaultScenario {
     /// Samples the scenario's columnar leader schedule.
     pub fn schedule(&self, seed: u64) -> ColumnarSchedule {
-        ColumnarSchedule::sample(
-            self.config.honest_nodes,
-            self.config.adversarial_stake,
-            self.config.active_slot_coeff,
-            self.config.slots,
-            seed,
-        )
+        ColumnarSchedule::for_config(&self.config, seed)
     }
 
     /// Samples the same schedule in the reference engine's layout — how
     /// the equivalence harness replays a faulty scenario on
     /// `sim::reference`.
     pub fn reference_schedule(&self, seed: u64) -> multihonest_sim::LeaderSchedule {
-        multihonest_sim::LeaderSchedule::sample(
-            self.config.honest_nodes,
-            self.config.adversarial_stake,
-            self.config.active_slot_coeff,
-            self.config.slots,
-            seed,
-        )
+        multihonest_sim::LeaderSchedule::for_config(&self.config, seed)
     }
 
     /// The plan's static Δ′ bound over the scenario's base Δ.
@@ -641,7 +629,7 @@ pub fn fault_library(slots: usize) -> Vec<FaultScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ColumnarSimulation;
+    use crate::engine::{ColumnarSimulation, Execution};
     use multihonest_sim::{Simulation, TieBreak};
 
     fn base(slots: usize) -> SimConfig {
@@ -661,7 +649,8 @@ mod tests {
         let config = base(400);
         let mut lagged =
             LaggedWithholding::new(0, NetworkSchedule::EdgeOfWindow, NodeProfile::uniform());
-        let a = ColumnarSimulation::run_with(&config, 9, &mut lagged);
+        let schedule = ColumnarSchedule::for_config(&config, 9);
+        let (a, _) = Execution::new(&config, &schedule, &mut lagged).trace();
         let b = ColumnarSimulation::run(&config, 9);
         assert_eq!(a.metrics(), b.metrics());
         assert_eq!(a.rollbacks(), b.rollbacks());
@@ -675,7 +664,8 @@ mod tests {
         let mut config = base(300);
         config.strategy = Strategy::Honest;
         let mut sch = ScheduledHonest::new(NetworkSchedule::Immediate, NodeProfile::uniform());
-        let a = ColumnarSimulation::run_with(&config, 5, &mut sch);
+        let schedule = ColumnarSchedule::for_config(&config, 5);
+        let (a, _) = Execution::new(&config, &schedule, &mut sch).trace();
         let b = ColumnarSimulation::run(&config, 5);
         assert_eq!(a.metrics(), b.metrics());
     }
@@ -694,7 +684,8 @@ mod tests {
         let run = |lag: usize| {
             let mut s =
                 LaggedWithholding::new(lag, NetworkSchedule::EdgeOfWindow, NodeProfile::uniform());
-            ColumnarSimulation::run_with(&config, 3, &mut s)
+            let schedule = ColumnarSchedule::for_config(&config, 3);
+            Execution::new(&config, &schedule, &mut s).trace().0
         };
         let eager = run(0);
         let lagged = run(8);
@@ -813,12 +804,9 @@ mod tests {
         for sc in fault_library(400) {
             let schedule = sc.schedule(11);
             let mut strategy = sc.config.strategy.instantiate();
-            let (sim, ledger) = ColumnarSimulation::run_with_schedule_faults(
-                &sc.config,
-                &schedule,
-                strategy.as_mut(),
-                &sc.plan,
-            );
+            let (sim, ledger) = Execution::new(&sc.config, &schedule, strategy.as_mut())
+                .faults(&sc.plan)
+                .trace();
             assert_eq!(sim.metrics().slots, 400, "{}", sc.name);
             assert_eq!(ledger.dropped, 0, "{}: bounded plans drop nothing", sc.name);
             let bound = sc.worst_case_delta().unwrap();
@@ -856,8 +844,7 @@ mod tests {
             // Every scenario compiles and runs on the columnar engine.
             let mut strategy = sc.strategy();
             let schedule = sc.schedule(2);
-            let sim =
-                ColumnarSimulation::run_with_schedule(&sc.config, &schedule, strategy.as_mut());
+            let (sim, _) = Execution::new(&sc.config, &schedule, strategy.as_mut()).trace();
             assert_eq!(sim.metrics().slots, 500, "{}", sc.name);
             // No scenario may be a disguised duplicate of another (e.g. a
             // latency profile swallowed by the Δ clamp).

@@ -10,6 +10,7 @@
 //! adversarial draw, per slot), so equal seeds give equal schedules.
 
 use multihonest_chars::{SemiString, SemiSymbol};
+use multihonest_sim::SimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -142,6 +143,20 @@ impl ColumnarSchedule {
             adversarial_stake,
             active_slot_coeff,
             slots,
+            seed,
+        )
+    }
+
+    /// Samples the uniform-stake schedule `config` describes — draw-for-draw
+    /// identical to [`LeaderSchedule::for_config`].
+    ///
+    /// [`LeaderSchedule::for_config`]: multihonest_sim::LeaderSchedule::for_config
+    pub fn for_config(config: &SimConfig, seed: u64) -> ColumnarSchedule {
+        ColumnarSchedule::sample(
+            config.honest_nodes,
+            config.adversarial_stake,
+            config.active_slot_coeff,
+            config.slots,
             seed,
         )
     }

@@ -18,6 +18,8 @@ use multihonest_chars::{SemiString, SemiSymbol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::SimConfig;
+
 /// Validates a heterogeneous stake partition: every honest stake is
 /// non-negative and the stakes plus the adversarial stake sum to 1.
 ///
@@ -121,6 +123,19 @@ impl LeaderSchedule {
             adversarial_stake,
             active_slot_coeff,
             slots,
+            seed,
+        )
+    }
+
+    /// Samples the uniform-stake schedule `config` describes —
+    /// [`LeaderSchedule::sample`] over its node count, stake,
+    /// active-slot coefficient and horizon.
+    pub fn for_config(config: &SimConfig, seed: u64) -> LeaderSchedule {
+        LeaderSchedule::sample(
+            config.honest_nodes,
+            config.adversarial_stake,
+            config.active_slot_coeff,
+            config.slots,
             seed,
         )
     }

@@ -62,6 +62,30 @@ pub trait MetricsSink {
 /// pass `&mut ()` and pay nothing per slot.
 impl MetricsSink for () {}
 
+/// Forwarding makes `&mut S` usable wherever a sink value is expected,
+/// so callers can lend one sink to a run and read it afterwards.
+impl<S: MetricsSink + ?Sized> MetricsSink for &mut S {
+    #[inline]
+    fn on_rollback(&mut self, slot: usize, old_height: usize, new_height: usize) {
+        (**self).on_rollback(slot, old_height, new_height);
+    }
+
+    #[inline]
+    fn on_slot(&mut self, slot: usize, distinct_tips: usize, best_height: usize, div: usize) {
+        (**self).on_slot(slot, distinct_tips, best_height, div);
+    }
+
+    #[inline]
+    fn on_fault_deferral(&mut self, slot: usize, recipient: usize, deferred_to: usize) {
+        (**self).on_fault_deferral(slot, recipient, deferred_to);
+    }
+
+    #[inline]
+    fn on_margin(&mut self, slot: usize, rho: i64, margin: i64) {
+        (**self).on_margin(slot, rho, margin);
+    }
+}
+
 /// Streaming accumulator behind [`Metrics`]: folds the per-slot
 /// observation stream into `O(1)` state. Engines drive it through the
 /// [`MetricsSink`] impl and call [`MetricsAccumulator::finish`] with the

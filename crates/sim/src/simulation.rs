@@ -131,13 +131,7 @@ impl Simulation {
         seed: u64,
         strategy: &mut dyn AdversaryStrategy,
     ) -> Simulation {
-        let schedule = LeaderSchedule::sample(
-            config.honest_nodes,
-            config.adversarial_stake,
-            config.active_slot_coeff,
-            config.slots,
-            seed,
-        );
+        let schedule = LeaderSchedule::for_config(config, seed);
         Simulation::run_with_schedule(config, schedule, strategy)
     }
 

@@ -167,7 +167,7 @@ impl CellAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multihonest_scenario::{ColumnarSchedule, ColumnarSimulation};
+    use multihonest_scenario::{ColumnarSchedule, Execution};
     use multihonest_sim::{SimConfig, Strategy, TieBreak};
 
     fn trial(seed: u64) -> (Metrics, DivergenceIndex) {
@@ -180,9 +180,10 @@ mod tests {
             tie_break: TieBreak::AdversarialOrder,
             strategy: Strategy::PrivateWithholding,
         };
-        let schedule = ColumnarSchedule::sample(5, 0.3, 0.3, 150, seed);
+        let schedule = ColumnarSchedule::for_config(&config, seed);
         let mut s = config.strategy.instantiate();
-        ColumnarSimulation::run_streaming(&config, &schedule, s.as_mut(), &mut ())
+        let (metrics, index, _) = Execution::new(&config, &schedule, s.as_mut()).stream();
+        (metrics, index)
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use multihonest_analytic::theorem7_bound;
 use multihonest_margin::ExactSettlement;
-use multihonest_scenario::{ColumnarSimulation, ExecutionArena, FaultScenario};
+use multihonest_scenario::{Execution, ExecutionArena, FaultScenario};
 use serde::Serialize;
 
 use crate::report::leadership_condition;
@@ -99,14 +99,10 @@ pub fn check_conservatism(
         let trial_seed = mix(mix(seed ^ mix(trial)) ^ 0xFA_0715);
         let schedule = scenario.schedule(trial_seed);
         let mut strategy = config.strategy.instantiate();
-        let (_, index, ledger) = ColumnarSimulation::run_streaming_faults_in(
-            &mut arena,
-            config,
-            &schedule,
-            strategy.as_mut(),
-            &scenario.plan,
-            &mut (),
-        );
+        let (_, index, ledger) = Execution::new(config, &schedule, strategy.as_mut())
+            .faults(&scenario.plan)
+            .arena(&mut arena)
+            .stream();
         for (i, &k) in ks.iter().enumerate() {
             let anchors = index.count_violations(k, slots) as u64;
             violating_anchors[i] += anchors;

@@ -356,7 +356,7 @@ pub mod golden {
     /// Asserts every [`SCENARIO_FINGERPRINT_PINS`] entry: the columnar
     /// engine reproduces each frozen execution exactly.
     pub fn assert_scenario_fingerprints() {
-        use multihonest::scenario::{execution_fingerprint, scenario_library, ColumnarSimulation};
+        use multihonest::scenario::{execution_fingerprint, scenario_library, Execution};
         for &(name, seed, slots, pinned) in SCENARIO_FINGERPRINT_PINS {
             let lib = scenario_library(slots);
             let sc = lib
@@ -365,8 +365,7 @@ pub mod golden {
                 .unwrap_or_else(|| panic!("unknown scenario pin {name:?}"));
             let mut strategy = sc.strategy();
             let schedule = sc.schedule(seed);
-            let sim =
-                ColumnarSimulation::run_with_schedule(&sc.config, &schedule, strategy.as_mut());
+            let (sim, _) = Execution::new(&sc.config, &schedule, strategy.as_mut()).trace();
             assert_eq!(
                 execution_fingerprint(&sim),
                 pinned,
@@ -384,7 +383,7 @@ pub mod golden {
     ///
     /// [`FaultPlan`]: multihonest::sim::FaultPlan
     pub fn assert_empty_plan_is_invisible() {
-        use multihonest::scenario::{execution_fingerprint, scenario_library, ColumnarSimulation};
+        use multihonest::scenario::{execution_fingerprint, scenario_library, Execution};
         use multihonest::sim::FaultPlan;
         let empty = FaultPlan::new();
         for &(name, seed, slots, pinned) in SCENARIO_FINGERPRINT_PINS {
@@ -395,12 +394,9 @@ pub mod golden {
                 .unwrap_or_else(|| panic!("unknown scenario pin {name:?}"));
             let mut strategy = sc.strategy();
             let schedule = sc.schedule(seed);
-            let (sim, ledger) = ColumnarSimulation::run_with_schedule_faults(
-                &sc.config,
-                &schedule,
-                strategy.as_mut(),
-                &empty,
-            );
+            let (sim, ledger) = Execution::new(&sc.config, &schedule, strategy.as_mut())
+                .faults(&empty)
+                .trace();
             assert_eq!(
                 execution_fingerprint(&sim),
                 pinned,
@@ -435,7 +431,7 @@ pub mod golden {
     /// layer reproduces each frozen faulty execution exactly, on both
     /// engines.
     pub fn assert_fault_scenario_pins() {
-        use multihonest::scenario::{execution_fingerprint, fault_library, ColumnarSimulation};
+        use multihonest::scenario::{execution_fingerprint, fault_library, Execution};
         for &(name, seed, slots, pinned, deferred) in FAULT_SCENARIO_PINS {
             let lib = fault_library(slots);
             let sc = lib
@@ -444,12 +440,9 @@ pub mod golden {
                 .unwrap_or_else(|| panic!("unknown fault scenario pin {name:?}"));
             let mut strategy = sc.config.strategy.instantiate();
             let schedule = sc.schedule(seed);
-            let (sim, ledger) = ColumnarSimulation::run_with_schedule_faults(
-                &sc.config,
-                &schedule,
-                strategy.as_mut(),
-                &sc.plan,
-            );
+            let (sim, ledger) = Execution::new(&sc.config, &schedule, strategy.as_mut())
+                .faults(&sc.plan)
+                .trace();
             assert_eq!(
                 execution_fingerprint(&sim),
                 pinned,

@@ -1,13 +1,13 @@
 //! The batch law: [`BatchExecution`] is a pure amortization of
 //! independent streaming runs. For every seed, the batched trial output
 //! (metrics, settlement index, degradation ledger) must be identical to
-//! a standalone [`ColumnarSimulation::run_streaming_faults`] over a
+//! a standalone [`Execution::stream`] under the same plan over a
 //! freshly sampled schedule — for any batch size, under fault plans,
 //! and regardless of the arena history the batch driver has accumulated
 //! (a short horizon after a long one reuses the same buffers).
 
 use multihonest::scenario::{
-    BatchExecution, ColumnarSchedule, ColumnarSimulation, LeaderProbs, TrialOutput,
+    BatchExecution, ColumnarSchedule, Execution, LeaderProbs, TrialOutput,
 };
 use multihonest::sim::{FaultDirective, FaultPlan, SimConfig, Strategy, TieBreak};
 
@@ -41,13 +41,9 @@ fn independent(config: &SimConfig, plan: &FaultPlan, seed: u64) -> TrialOutput {
         seed,
     );
     let mut strategy = config.strategy.instantiate();
-    let (metrics, divergence, ledger) = ColumnarSimulation::run_streaming_faults(
-        config,
-        &schedule,
-        strategy.as_mut(),
-        plan,
-        &mut (),
-    );
+    let (metrics, divergence, ledger) = Execution::new(config, &schedule, strategy.as_mut())
+        .faults(plan)
+        .stream();
     TrialOutput {
         seed,
         metrics,

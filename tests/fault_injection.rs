@@ -26,16 +26,6 @@ fn grid_config(strategy: Strategy, delta: usize) -> SimConfig {
     }
 }
 
-fn sample(config: &SimConfig, seed: u64) -> LeaderSchedule {
-    LeaderSchedule::sample(
-        config.honest_nodes,
-        config.adversarial_stake,
-        config.active_slot_coeff,
-        config.slots,
-        seed,
-    )
-}
-
 /// Asserts two reference-engine executions are trace-identical.
 fn assert_same_execution(a: &Simulation, b: &Simulation, context: &str) {
     let slots = a.config().slots;
@@ -67,12 +57,15 @@ fn empty_plan_is_bit_identical_to_baseline() {
             for seed in [1u64, 7] {
                 let config = grid_config(strategy, delta);
                 let mut s1 = config.strategy.instantiate();
-                let baseline =
-                    Simulation::run_with_schedule(&config, sample(&config, seed), s1.as_mut());
+                let baseline = Simulation::run_with_schedule(
+                    &config,
+                    LeaderSchedule::for_config(&config, seed),
+                    s1.as_mut(),
+                );
                 let mut s2 = config.strategy.instantiate();
                 let (faulted, ledger) = Simulation::run_with_schedule_faults(
                     &config,
-                    sample(&config, seed),
+                    LeaderSchedule::for_config(&config, seed),
                     s2.as_mut(),
                     &FaultPlan::new(),
                 );
@@ -121,11 +114,15 @@ fn partition_healed_within_delta_adds_no_violations() {
     });
     for seed in 1u64..=10 {
         let mut s1 = config.strategy.instantiate();
-        let baseline = Simulation::run_with_schedule(&config, sample(&config, seed), s1.as_mut());
+        let baseline = Simulation::run_with_schedule(
+            &config,
+            LeaderSchedule::for_config(&config, seed),
+            s1.as_mut(),
+        );
         let mut s2 = config.strategy.instantiate();
         let (faulted, ledger) = Simulation::run_with_schedule_faults(
             &config,
-            sample(&config, seed),
+            LeaderSchedule::for_config(&config, seed),
             s2.as_mut(),
             &plan,
         );
@@ -159,7 +156,7 @@ fn crash_edge_cases() {
     let mut s = config.strategy.instantiate();
     let (sim, ledger) = Simulation::run_with_schedule_faults(
         &config,
-        sample(&config, 3),
+        LeaderSchedule::for_config(&config, 3),
         s.as_mut(),
         &genesis_crash,
     );
@@ -174,8 +171,12 @@ fn crash_edge_cases() {
     });
     assert_eq!(never_back.worst_case_delta(config.delta), None);
     let mut s = config.strategy.instantiate();
-    let (_, ledger) =
-        Simulation::run_with_schedule_faults(&config, sample(&config, 3), s.as_mut(), &never_back);
+    let (_, ledger) = Simulation::run_with_schedule_faults(
+        &config,
+        LeaderSchedule::for_config(&config, 3),
+        s.as_mut(),
+        &never_back,
+    );
     assert!(ledger.dropped > 0, "parked deliveries die with the node");
     assert_eq!(ledger.windows[0].healed_by, None, "a dead node never heals");
 }

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use multihonest::scenario::{
-    run_horizon, ColumnarSchedule, ColumnarSimulation, HorizonOptions, HorizonReport, LeaderProbs,
+    run_horizon, ColumnarSchedule, Execution, HorizonOptions, HorizonReport, LeaderProbs,
 };
 use multihonest::sim::{DivergenceIndex, Metrics, SimConfig, Strategy, TieBreak};
 
@@ -48,7 +48,8 @@ fn unsegmented(config: &SimConfig, seed: u64) -> (Metrics, DivergenceIndex) {
         seed,
     );
     let mut strategy = config.strategy.instantiate();
-    ColumnarSimulation::run_streaming(config, &schedule, strategy.as_mut(), &mut ())
+    let (metrics, divergence, _) = Execution::new(config, &schedule, strategy.as_mut()).stream();
+    (metrics, divergence)
 }
 
 fn assert_law(report: &HorizonReport, config: &SimConfig, seed: u64, opts: &HorizonOptions) {

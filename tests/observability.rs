@@ -7,7 +7,7 @@
 
 use multihonest::obs::{Histogram, ObsRecorder, Recorder};
 use multihonest::scenario::{
-    execution_fingerprint, run_horizon, run_horizon_observed, ColumnarSchedule, ColumnarSimulation,
+    execution_fingerprint, run_horizon, run_horizon_observed, ColumnarSchedule, Execution,
     HorizonOptions, LeaderProbs,
 };
 use multihonest::sim::{
@@ -26,16 +26,6 @@ fn grid_config(strategy: Strategy, delta: usize) -> SimConfig {
         tie_break: TieBreak::AdversarialOrder,
         strategy,
     }
-}
-
-fn sample(config: &SimConfig, seed: u64) -> ColumnarSchedule {
-    ColumnarSchedule::sample(
-        config.honest_nodes,
-        config.adversarial_stake,
-        config.active_slot_coeff,
-        config.slots,
-        seed,
-    )
 }
 
 /// A small plan exercising every directive family inside the 250-slot
@@ -74,28 +64,21 @@ fn instrumented_runs_are_bit_identical() {
                     };
                     let context = format!("{strategy:?} Δ={delta} faulty={faulty} seed={seed}");
 
+                    let schedule = ColumnarSchedule::for_config(&config, seed);
                     let mut s1 = config.strategy.instantiate();
-                    let (plain, plain_ledger) = ColumnarSimulation::run_with_schedule_faults(
-                        &config,
-                        &sample(&config, seed),
-                        s1.as_mut(),
-                        &plan,
-                    );
+                    let (plain, plain_ledger) = Execution::new(&config, &schedule, s1.as_mut())
+                        .faults(&plan)
+                        .trace();
 
                     let mut sink_rec = ObsRecorder::new();
                     let mut engine_rec = sink_rec.shard(1);
                     let mut s2 = config.strategy.instantiate();
-                    let (recorded, recorded_ledger) = {
-                        let mut sink = ObsSink::new(&mut sink_rec);
-                        ColumnarSimulation::run_with_schedule_faults_recorded(
-                            &config,
-                            &sample(&config, seed),
-                            s2.as_mut(),
-                            &plan,
-                            &mut sink,
-                            &mut engine_rec,
-                        )
-                    };
+                    let (recorded, recorded_ledger) =
+                        Execution::new(&config, &schedule, s2.as_mut())
+                            .faults(&plan)
+                            .sink(ObsSink::new(&mut sink_rec))
+                            .recorder(&mut engine_rec)
+                            .trace();
                     record_ledger(&mut sink_rec, &recorded_ledger);
 
                     assert_eq!(
@@ -110,13 +93,7 @@ fn instrumented_runs_are_bit_identical() {
                     let mut s3 = config.strategy.instantiate();
                     let (reference, reference_ledger) = Simulation::run_with_schedule_faults(
                         &config,
-                        multihonest::sim::LeaderSchedule::sample(
-                            config.honest_nodes,
-                            config.adversarial_stake,
-                            config.active_slot_coeff,
-                            config.slots,
-                            seed,
-                        ),
+                        multihonest::sim::LeaderSchedule::for_config(&config, seed),
                         s3.as_mut(),
                         &plan,
                     );
@@ -166,18 +143,14 @@ fn exported_traces_are_valid_json() {
     let config = grid_config(Strategy::PrivateWithholding, 2);
     let mut sink_rec = ObsRecorder::new();
     let mut engine_rec = sink_rec.shard(1);
+    let schedule = ColumnarSchedule::for_config(&config, 5);
+    let plan = grid_fault_plan();
     let mut strategy = config.strategy.instantiate();
-    {
-        let mut sink = ObsSink::new(&mut sink_rec);
-        ColumnarSimulation::run_with_schedule_faults_recorded(
-            &config,
-            &sample(&config, 5),
-            strategy.as_mut(),
-            &grid_fault_plan(),
-            &mut sink,
-            &mut engine_rec,
-        );
-    }
+    Execution::new(&config, &schedule, strategy.as_mut())
+        .faults(&plan)
+        .sink(ObsSink::new(&mut sink_rec))
+        .recorder(&mut engine_rec)
+        .trace();
     sink_rec.merge(engine_rec);
 
     let chrome = serde_json::from_str(&sink_rec.chrome_trace_json()).expect("chrome trace parses");

@@ -8,8 +8,8 @@
 
 use multihonest::prelude::*;
 use multihonest::scenario::{
-    scenario_library, ColumnarSchedule, ColumnarSimulation, LaggedWithholding, NetworkSchedule,
-    NodeProfile,
+    scenario_library, ColumnarSchedule, ColumnarSimulation, Execution, LaggedWithholding,
+    NetworkSchedule, NodeProfile,
 };
 use multihonest::sim::MetricsAccumulator;
 // `Strategy` would be ambiguous between the prelude's enum and
@@ -108,8 +108,7 @@ fn scenario_library_is_bit_identical_to_reference() {
         );
         let mut col_strategy = sc.strategy();
         let schedule = sc.schedule(13);
-        let cols =
-            ColumnarSimulation::run_with_schedule(&sc.config, &schedule, col_strategy.as_mut());
+        let (cols, _) = Execution::new(&sc.config, &schedule, col_strategy.as_mut()).trace();
         assert_eq!(cols.metrics(), reference.metrics(), "{}", sc.name);
         assert_eq!(
             cols.divergence_index(),
@@ -181,19 +180,14 @@ fn streaming_mode_retains_nothing_but_loses_nothing() {
         tie_break: TieBreak::AdversarialOrder,
         strategy: Strategy::PrivateWithholding,
     };
-    let schedule = ColumnarSchedule::sample(
-        config.honest_nodes,
-        config.adversarial_stake,
-        config.active_slot_coeff,
-        config.slots,
-        23,
-    );
+    let schedule = ColumnarSchedule::for_config(&config, 23);
     let mut s1 = config.strategy.instantiate();
-    let traced = ColumnarSimulation::run_with_schedule(&config, &schedule, s1.as_mut());
+    let (traced, _) = Execution::new(&config, &schedule, s1.as_mut()).trace();
     let mut s2 = config.strategy.instantiate();
     let mut sink = MetricsAccumulator::new();
-    let (metrics, index) =
-        ColumnarSimulation::run_streaming(&config, &schedule, s2.as_mut(), &mut sink);
+    let (metrics, index, _) = Execution::new(&config, &schedule, s2.as_mut())
+        .sink(&mut sink)
+        .stream();
     assert_eq!(&metrics, traced.metrics());
     assert_eq!(&index, traced.divergence_index());
     assert_eq!(sink.max_slot_divergence(), metrics.max_slot_divergence);

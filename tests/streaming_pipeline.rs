@@ -9,7 +9,7 @@
 
 use multihonest::fork::validate::validate_delta;
 use multihonest::prelude::*;
-use multihonest::scenario::{run_streaming_validated_faults_in, ColumnarSchedule, ExecutionArena};
+use multihonest::scenario::{ColumnarSchedule, Execution};
 use multihonest::sim::{FaultDirective, FaultPlan};
 // `Strategy` would be ambiguous between the prelude's enum and
 // proptest's trait under two glob imports — pin the enum explicitly.
@@ -76,18 +76,9 @@ proptest! {
 
         // Columnar engine: one pass builds, validates and margin-tracks
         // the fork online.
-        let schedule = ColumnarSchedule::sample(
-            config.honest_nodes,
-            config.adversarial_stake,
-            config.active_slot_coeff,
-            config.slots,
-            seed,
-        );
-        let mut arena = ExecutionArena::new();
+        let schedule = ColumnarSchedule::for_config(&config, seed);
         let mut s1 = config.strategy.instantiate();
-        let out = run_streaming_validated_faults_in(
-            &mut arena, &config, &schedule, s1.as_mut(), &plan, &mut (),
-        );
+        let out = Execution::new(&config, &schedule, s1.as_mut()).faults(&plan).validated();
         let batch = validate_delta(
             &out.pipeline.fork,
             &out.pipeline.characteristic_string,
@@ -104,13 +95,7 @@ proptest! {
         // Reference engine: extraction streams through the same ForkFold;
         // its verdict must agree with its own batch oracle, and its fork
         // with the columnar pipeline's.
-        let rs = multihonest::sim::LeaderSchedule::sample(
-            config.honest_nodes,
-            config.adversarial_stake,
-            config.active_slot_coeff,
-            config.slots,
-            seed,
-        );
+        let rs = multihonest::sim::LeaderSchedule::for_config(&config, seed);
         let mut s2 = config.strategy.instantiate();
         let (refr, _) =
             Simulation::run_with_schedule_faults(&config, rs, s2.as_mut(), &plan);
