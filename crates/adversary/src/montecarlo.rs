@@ -10,25 +10,51 @@
 //! so that the experiment harness can print honest error bars next to the
 //! exact DP values and the analytic bounds.
 
+use std::ops::ControlFlow;
+
 use multihonest_catalan::CatalanAnalysis;
 use multihonest_chars::BernoulliCondition;
+use multihonest_core::pool;
 use multihonest_margin::recurrence;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::astar::AstarBuilder;
 
-/// Sums `f(i)` over jobs `i ∈ 0..n` with up to `workers` scoped threads
-/// claiming indices from a shared atomic counter. The reduction is a
-/// commutative integer sum over a fixed job set, so the total is a pure
-/// function of `(n, f)` — identical for every worker count. Both
-/// Monte-Carlo drivers ([`MonteCarlo`], [`SimMonteCarlo`]) reduce
-/// through this.
+/// Sums `f(b)` over jobs `b ∈ 0..n` on up to `workers` threads of the
+/// shared pool. The reduction is a commutative integer sum over a fixed
+/// job set, so the total is a pure function of `(n, f)` — identical for
+/// every worker count. Both Monte-Carlo drivers ([`MonteCarlo`],
+/// [`SimMonteCarlo`]) reduce through this.
 fn sum_claimed<F>(n: u64, workers: usize, f: F) -> u64
 where
     F: Fn(u64) -> u64 + Sync,
 {
     reduce_claimed(n, workers, 0u64, f, |a, b| a + b)
+}
+
+/// Merges `f(b)` over jobs `b ∈ 0..n` with the commutative, associative
+/// `merge` (identity `zero`): each [`pool::claim`] worker folds the jobs
+/// it claims, and the per-worker partials are folded last. The result is
+/// a pure function of `(n, f)` whatever the parallelism, provided
+/// `merge` really is commutative and associative (integer sums, maxima
+/// and counts are; float sums are **not**).
+fn reduce_claimed<T, F, M>(n: u64, workers: usize, zero: T, f: F, merge: M) -> T
+where
+    T: Copy + Send + Sync,
+    F: Fn(u64) -> T + Sync,
+    M: Fn(T, T) -> T + Sync,
+{
+    let partials = pool::claim(
+        n as usize,
+        workers,
+        |_| zero,
+        |acc, b| {
+            *acc = merge(*acc, f(b as u64));
+            ControlFlow::Continue(())
+        },
+    );
+    partials.into_iter().fold(zero, merge)
 }
 
 /// A binomial estimate with Wilson confidence intervals.
@@ -91,14 +117,11 @@ impl MonteCarlo {
     /// Creates a driver running `trials` samples with the given seed,
     /// using all available parallelism.
     pub fn new(cond: BernoulliCondition, trials: u64, seed: u64) -> MonteCarlo {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         MonteCarlo {
             cond,
             trials,
             seed,
-            threads,
+            threads: pool::default_threads(),
         }
     }
 
@@ -115,8 +138,8 @@ impl MonteCarlo {
 
     /// Trials per work block. Each block derives its RNG from the block
     /// index alone, so the estimate is a pure function of `(seed, trials)`
-    /// — identical for every thread count — while threads steal blocks
-    /// from a shared counter for load balance.
+    /// — identical for every thread count — while the workers of
+    /// [`multihonest_core::pool`] claim blocks for load balance.
     const BLOCK: u64 = 1024;
 
     /// The RNG seed of work block `b` — independent of which worker runs
@@ -130,7 +153,7 @@ impl MonteCarlo {
     ///
     /// The result is **seed-stable across thread counts**: trials are
     /// partitioned into fixed-size blocks seeded by block index (not by
-    /// worker), workers claim blocks through an atomic counter, and hit
+    /// worker), [`multihonest_core::pool`] workers claim blocks, and hit
     /// counts are summed (a commutative integer reduction), so
     /// `with_threads(1)` and `with_threads(n)` return identical estimates.
     pub fn estimate<F>(&self, len: usize, predicate: F) -> Estimate
@@ -211,63 +234,6 @@ impl MonteCarlo {
     }
 }
 
-/// Claims jobs `i ∈ 0..n` from a shared atomic counter across up to
-/// `workers` scoped threads and merges `f(i)` with the commutative,
-/// associative `merge` — like [`sum_claimed`], but for arbitrary
-/// aggregates. The result is a pure function of `(n, f)` whatever the
-/// parallelism, provided `merge` really is commutative and associative
-/// (integer sums, maxima and counts are; float sums are **not**).
-fn reduce_claimed<T, F, M>(n: u64, workers: usize, init: T, f: F, merge: M) -> T
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-    M: Fn(T, T) -> T + Sync + Send,
-{
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let workers = (workers as u64).clamp(1, n.max(1)) as usize;
-    let mut total = init;
-    if workers <= 1 {
-        for i in 0..n {
-            total = merge(total, f(i));
-        }
-        return total;
-    }
-    let counter = AtomicU64::new(0);
-    let mut locals: Vec<T> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let counter = &counter;
-            let f = &f;
-            let merge = &merge;
-            handles.push(scope.spawn(move || {
-                let mut local: Option<T> = None;
-                loop {
-                    let i = counter.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let v = f(i);
-                    local = Some(match local {
-                        None => v,
-                        Some(acc) => merge(acc, v),
-                    });
-                }
-                local
-            }));
-        }
-        for h in handles {
-            if let Some(local) = h.join().expect("worker panicked") {
-                locals.push(local);
-            }
-        }
-    });
-    for local in locals {
-        total = merge(total, local);
-    }
-    total
-}
-
 /// Aggregate statistics of canonical forks over sampled characteristic
 /// strings — the output of [`CanonicalMonteCarlo::summary`].
 ///
@@ -339,8 +305,8 @@ impl CanonicalPartial {
 /// path could never reach.
 ///
 /// Seed-stable like [`MonteCarlo`]: trials are partitioned into fixed
-/// blocks seeded by block index, workers steal blocks from an atomic
-/// counter, and the reduction is exact integer arithmetic — so the
+/// blocks seeded by block index, [`multihonest_core::pool`] workers claim
+/// blocks, and the reduction is exact integer arithmetic — so the
 /// summary is a pure function of `(condition, trials, seed, len)`,
 /// identical for every thread count.
 ///
@@ -373,14 +339,11 @@ impl CanonicalMonteCarlo {
     /// Creates a driver running `trials` canonical builds with the given
     /// seed, using all available parallelism.
     pub fn new(cond: BernoulliCondition, trials: u64, seed: u64) -> CanonicalMonteCarlo {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         CanonicalMonteCarlo {
             cond,
             trials,
             seed,
-            threads,
+            threads: pool::default_threads(),
         }
     }
 
@@ -475,14 +438,11 @@ impl SimMonteCarlo {
     /// Creates a driver executing `runs` simulations with seeds
     /// `seed, seed + 1, …`, using all available parallelism.
     pub fn new(cfg: multihonest_sim::SimConfig, runs: u64, seed: u64) -> SimMonteCarlo {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         SimMonteCarlo {
             cfg,
             runs,
             seed,
-            threads,
+            threads: pool::default_threads(),
         }
     }
 
@@ -498,8 +458,8 @@ impl SimMonteCarlo {
     }
 
     /// Maps every trial seed through `f` (given the trial's end-of-run
-    /// metrics and settlement index) and sums the results — workers claim
-    /// seeds from a shared counter, and the commutative integer reduction
+    /// metrics and settlement index) and sums the results — pool workers
+    /// claim seeds, and the commutative integer reduction
     /// makes the total a pure function of `(cfg, seed, runs)`, identical
     /// for every thread count.
     fn sum_over_seeds<F>(&self, f: F) -> u64

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Sections: `bound-vs-exact`, `tiebreak`, `delta-sync`, `thresholds`,
-//! `catalan-tails`. `--threads N` bounds the worker fan-out of the
-//! DP-heavy sections (default: all cores).
+//! `catalan-tails`. `--threads N` bounds the worker fan-out (default: all
+//! cores).
 
 use multihonest_bench as bench;
 
@@ -66,7 +66,7 @@ fn main() {
 
     if run("tiebreak") {
         let (trials, sims) = if quick { (4_000, 3) } else { (20_000, 10) };
-        let rows = bench::tiebreak_experiment(trials, sims);
+        let rows = bench::tiebreak_experiment(trials, sims, threads);
         if json {
             println!(
                 "{}",
@@ -134,7 +134,7 @@ fn main() {
 
     if run("catalan-tails") {
         let trials = if quick { 4_000 } else { 40_000 };
-        let rows = bench::catalan_tail_experiment(trials);
+        let rows = bench::catalan_tail_experiment(trials, threads);
         if json {
             println!(
                 "{}",

@@ -8,6 +8,7 @@
 use serde::Serialize;
 
 use multihonest::chars::{BernoulliCondition, SemiSyncCondition};
+use multihonest::core::pool;
 use multihonest::margin::ExactSettlement;
 use multihonest::prelude::*;
 
@@ -39,71 +40,11 @@ pub fn table1_condition(alpha: f64, ratio: f64) -> BernoulliCondition {
     BernoulliCondition::from_alpha_ratio(alpha, ratio).expect("table parameters are valid")
 }
 
-/// The default worker count for the parallel experiment grids: all
-/// available hardware parallelism.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Runs jobs `0..n` on up to `threads` scoped workers pulling from a
-/// shared atomic counter, and returns the results **in job order** —
-/// deterministic output whatever the parallelism. Used by every
-/// experiment-grid fan-out below (the repo is offline, so no rayon;
-/// `std::thread::scope` carries the borrow of `f`).
-fn run_jobs<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let counter = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let counter = &counter;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::new();
-                loop {
-                    let i = counter.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    out.push((i, f(i)));
-                }
-                out
-            }));
-        }
-        for h in handles {
-            for (i, v) in h.join().expect("worker panicked") {
-                slots[i] = Some(v);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job ran"))
-        .collect()
-}
-
 /// Regenerates Table 1 (experiment E1) for the given parameter subsets,
 /// sharing one banded DP pass per `(α, ratio)` pair, with pairs fanned
-/// out across [`default_threads`] workers. Pass smaller `ks` for a quick
-/// look.
-pub fn generate_table1(alphas: &[f64], ratios: &[f64], ks: &[usize]) -> Vec<Table1Cell> {
-    generate_table1_threads(alphas, ratios, ks, default_threads())
-}
-
-/// [`generate_table1`] with an explicit worker count (the `--threads`
-/// knob of the `table1` binary). Cell order is identical for every
-/// thread count.
+/// out across `threads` workers of [`pool`] (the `--threads` knob of the
+/// `table1` binary). Cell order is identical for every thread count.
+/// Pass smaller `ks` for a quick look.
 pub fn generate_table1_threads(
     alphas: &[f64],
     ratios: &[f64],
@@ -125,7 +66,7 @@ fn table1_grid_timed(
         .iter()
         .flat_map(|&ratio| alphas.iter().map(move |&alpha| (alpha, ratio)))
         .collect();
-    let per_pair = run_jobs(pairs.len(), threads, |i| {
+    let per_pair = pool::map(pairs.len(), threads, |i| {
         let (alpha, ratio) = pairs[i];
         let start = std::time::Instant::now();
         let exact = ExactSettlement::new(table1_condition(alpha, ratio));
@@ -199,17 +140,11 @@ pub struct BoundVsExactRow {
     pub theorem1: f64,
 }
 
-/// Runs experiment E6 over a small grid, one scoped worker per
-/// `(ε, p_h)` point (see [`bound_vs_exact_threads`]).
-pub fn bound_vs_exact(ks: &[usize]) -> Vec<BoundVsExactRow> {
-    bound_vs_exact_threads(ks, default_threads())
-}
-
-/// [`bound_vs_exact`] with an explicit worker count; row order is
-/// identical for every thread count.
+/// Runs experiment E6 over a small grid, one pool job per `(ε, p_h)`
+/// point; row order is identical for every thread count.
 pub fn bound_vs_exact_threads(ks: &[usize], threads: usize) -> Vec<BoundVsExactRow> {
     let points = [(0.2, 0.4), (0.3, 0.3), (0.4, 0.6), (0.1, 0.2)];
-    run_jobs(points.len(), threads, |i| {
+    pool::map(points.len(), threads, |i| {
         let (epsilon, p_h) = points[i];
         let cond = BernoulliCondition::new(epsilon, p_h).expect("valid");
         let exact = ExactSettlement::new(cond);
@@ -233,7 +168,7 @@ pub fn bound_vs_exact_threads(ks: &[usize], threads: usize) -> Vec<BoundVsExactR
 }
 
 /// E7: the consistent tie-breaking regime (`p_h = 0`).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TiebreakRow {
     /// Honest margin `ε`.
     pub epsilon: f64,
@@ -249,12 +184,13 @@ pub struct TiebreakRow {
     pub sim_divergence_consistent: f64,
 }
 
-/// Runs experiment E7.
-pub fn tiebreak_experiment(trials: u64, sim_runs: u64) -> Vec<TiebreakRow> {
+/// Runs experiment E7, its Monte-Carlo estimates on `threads` workers
+/// (the rows are identical for every thread count).
+pub fn tiebreak_experiment(trials: u64, sim_runs: u64, threads: usize) -> Vec<TiebreakRow> {
     let mut rows = Vec::new();
     for epsilon in [0.3, 0.5] {
         let cond = BernoulliCondition::new(epsilon, 0.0).expect("bivalent condition");
-        let mc = MonteCarlo::new(cond, trials, 101);
+        let mc = MonteCarlo::new(cond, trials, 101).with_threads(threads);
         let b2 = Bound2::new(epsilon).expect("valid");
         for k in [50usize, 100, 200] {
             let est = mc.no_consecutive_catalan_in_window(3 * k, k, k);
@@ -364,17 +300,11 @@ pub struct ThresholdRow {
     pub k: usize,
 }
 
-/// Runs experiment E9 across a stake grid with fixed `p_A`, one scoped
-/// worker per stake split (see [`threshold_experiment_threads`]).
-pub fn threshold_experiment(k: usize) -> Vec<ThresholdRow> {
-    threshold_experiment_threads(k, default_threads())
-}
-
-/// [`threshold_experiment`] with an explicit worker count; row order is
-/// identical for every thread count.
+/// Runs experiment E9 across a stake grid with fixed `p_A`, one pool job
+/// per stake split; row order is identical for every thread count.
 pub fn threshold_experiment_threads(k: usize, threads: usize) -> Vec<ThresholdRow> {
     let p_a = 0.40;
-    run_jobs(6, threads, |split| {
+    pool::map(6, threads, |split| {
         let p_h = (1.0 - p_a) * split as f64 / 5.0;
         let p_hh = 1.0 - p_a - p_h;
         let cond = BernoulliCondition::from_probabilities(p_h, p_hh, p_a).expect("valid");
@@ -394,7 +324,7 @@ pub fn threshold_experiment_threads(k: usize, threads: usize) -> Vec<ThresholdRo
 }
 
 /// E10: Catalan-slot tail events, Monte Carlo vs the series tails.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CatalanTailRow {
     /// Honest margin `ε`.
     pub epsilon: f64,
@@ -412,12 +342,13 @@ pub struct CatalanTailRow {
     pub bound2_series: f64,
 }
 
-/// Runs experiment E10.
-pub fn catalan_tail_experiment(trials: u64) -> Vec<CatalanTailRow> {
+/// Runs experiment E10, its Monte-Carlo estimates on `threads` workers
+/// (the rows are identical for every thread count).
+pub fn catalan_tail_experiment(trials: u64, threads: usize) -> Vec<CatalanTailRow> {
     let mut rows = Vec::new();
     for (epsilon, p_h) in [(0.3, 0.4), (0.5, 0.5)] {
         let cond = BernoulliCondition::new(epsilon, p_h).expect("valid");
-        let mc = MonteCarlo::new(cond, trials, 303);
+        let mc = MonteCarlo::new(cond, trials, 303).with_threads(threads);
         let b1 = Bound1::new(epsilon, p_h).expect("valid");
         let b2 = Bound2::new(epsilon).expect("valid");
         for k in [20usize, 40, 80] {
@@ -518,7 +449,7 @@ pub mod cli {
         match parsed_flag(args, "--threads")? {
             Some(0) => Err(CliError("--threads must be at least 1".to_string())),
             Some(n) => Ok(n),
-            None => Ok(super::default_threads()),
+            None => Ok(super::pool::default_threads()),
         }
     }
 
@@ -1256,7 +1187,7 @@ pub fn faults_bench_report(
     }
     let equivalence_seconds = eq_start.elapsed().as_secs_f64();
 
-    let per_scenario = run_jobs(library.len(), threads, |i| {
+    let per_scenario = pool::map(library.len(), threads, |i| {
         let t0 = std::time::Instant::now();
         let verdict = check_conservatism(&library[i], trials_per_scenario, ks, seed);
         (verdict, t0.elapsed().as_secs_f64())
@@ -1561,7 +1492,7 @@ mod tests {
 
     #[test]
     fn table1_generation_small() {
-        let cells = generate_table1(&[0.3], &[1.0, 0.5], &[50, 100]);
+        let cells = generate_table1_threads(&[0.3], &[1.0, 0.5], &[50, 100], 2);
         assert_eq!(cells.len(), 4);
         let rendered = render_table1(&cells, &[0.3], &[1.0, 0.5], &[50, 100]);
         assert!(rendered.contains("Pr[h]/(1-α) = 1"));
@@ -1598,6 +1529,15 @@ mod tests {
         for (a, b) in rows1.iter().zip(&rows4) {
             assert_eq!(a.exact_at_k, b.exact_at_k);
         }
+        // The Monte-Carlo sections: same rows, bitwise, on 1 and 3 workers.
+        assert_eq!(
+            tiebreak_experiment(3_000, 1, 1),
+            tiebreak_experiment(3_000, 1, 3)
+        );
+        assert_eq!(
+            catalan_tail_experiment(3_000, 1),
+            catalan_tail_experiment(3_000, 3)
+        );
     }
 
     #[test]
@@ -1749,7 +1689,7 @@ mod tests {
 
     #[test]
     fn bound_vs_exact_ordering() {
-        for row in bound_vs_exact(&[30, 60]) {
+        for row in bound_vs_exact_threads(&[30, 60], 2) {
             assert!(row.exact <= row.theorem1 + 1e-12, "{row:?}");
             // The series tail is itself an upper bound on the exact DP
             // (no uniquely honest Catalan slot is necessary for violation).
@@ -1759,7 +1699,7 @@ mod tests {
 
     #[test]
     fn threshold_rows_cover_exclusive_region() {
-        let rows = threshold_experiment(60);
+        let rows = threshold_experiment_threads(60, 2);
         assert!(rows.iter().all(|r| r.optimal));
         assert!(rows.iter().any(|r| !r.snow_white));
         assert!(rows.iter().any(|r| r.snow_white && !r.praos));

@@ -55,7 +55,7 @@ impl Default for RegressOptions {
             quick: true,
             tolerance: 0.5,
             baseline_dir: PathBuf::from("."),
-            threads: crate::default_threads(),
+            threads: multihonest::core::pool::default_threads(),
         }
     }
 }

@@ -9,11 +9,13 @@
 //! Currently this means [`ancestry`]: an append-only rooted-tree ancestry
 //! index with skew-binary jump pointers — one pointer per node, `O(1)`
 //! per insert — answering lowest-common-ancestor and level/key ancestor
-//! queries in `O(log n)`.
+//! queries in `O(log n)`; and [`pool`]: the one deterministic
+//! work-claiming worker pool behind every parallel site.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ancestry;
+pub mod pool;
 
 pub use crate::ancestry::AncestorIndex;

@@ -15,6 +15,10 @@
 //! they transcribe the definitions and serve as ground truth for the O(n)
 //! recurrences in `multihonest-margin` (paper Theorem 5).
 
+use std::ops::ControlFlow;
+
+use multihonest_core::pool;
+
 use crate::fork::{Fork, VertexId};
 
 /// Reach/margin analysis of a **closed** fork.
@@ -164,80 +168,63 @@ impl<'a> ReachAnalysis<'a> {
     }
 
     /// [`ReachAnalysis::relative_margins`] with the `O(V²)` pair scan
-    /// fanned out over up to `threads` scoped workers. Workers claim
-    /// row blocks from a shared atomic counter (rows shrink with `i`, so
-    /// dynamic claiming load-balances the triangle) and fold private
-    /// `best_at_label` tables that are merged by `max` — an exact integer
-    /// reduction, so the result is **identical to the serial oracle for
-    /// every thread count**.
+    /// fanned out over up to `threads` workers of
+    /// [`multihonest_core::pool`]. Workers claim row blocks (rows shrink
+    /// with `i`, so dynamic claiming load-balances the triangle) and fold
+    /// private `best_at_label` tables that are merged by `max` — an exact
+    /// integer reduction, so the result is **identical to the serial
+    /// oracle for every thread count**.
     pub fn relative_margins_threads(&self, threads: usize) -> Vec<i64> {
         let n = self.fork.string().len();
         let ids: Vec<VertexId> = self.fork.vertices().collect();
         let v = ids.len();
-        let threads = threads.max(1).min(v.max(1));
-        if threads <= 1 {
-            return self.relative_margins();
-        }
         // Enough rows per claim to amortise the atomic, few enough that
         // the shrinking triangle still balances.
-        let block = (v / (threads * 8)).max(1);
-        let blocks = v.div_ceil(block);
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let mut best_at_label = vec![i64::MIN; n + 1];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let counter = &counter;
-                let ids = &ids;
-                let this = &*self;
-                handles.push(scope.spawn(move || {
-                    let mut local = vec![i64::MIN; n + 1];
-                    loop {
-                        let blk = counter.fetch_add(1, Ordering::Relaxed);
-                        if blk >= blocks {
-                            break;
-                        }
-                        for i in blk * block..((blk + 1) * block).min(v) {
-                            let a = ids[i];
-                            let ra = this.reach(a);
-                            for &b in &ids[i..] {
-                                let lca = this.fork.last_common_vertex(a, b);
-                                let l = this.fork.label(lca);
-                                let m = ra.min(this.reach(b));
-                                if m > local[l] {
-                                    local[l] = m;
-                                }
-                            }
+        let block = (v / (threads.max(1) * 8)).max(1);
+        let locals = pool::claim(
+            v.div_ceil(block),
+            threads,
+            |_| vec![i64::MIN; n + 1],
+            |local, blk| {
+                for i in blk * block..((blk + 1) * block).min(v) {
+                    let a = ids[i];
+                    let ra = self.reach(a);
+                    for &b in &ids[i..] {
+                        let lca = self.fork.last_common_vertex(a, b);
+                        let l = self.fork.label(lca);
+                        let m = ra.min(self.reach(b));
+                        if m > local[l] {
+                            local[l] = m;
                         }
                     }
-                    local
-                }));
-            }
-            for h in handles {
-                let local = h.join().expect("worker panicked");
-                for (best, l) in best_at_label.iter_mut().zip(local) {
-                    *best = (*best).max(l);
                 }
-            }
-        });
+                ControlFlow::Continue(())
+            },
+        );
+        let best_at_label = locals
+            .into_iter()
+            .reduce(|mut best, local| {
+                for (b, l) in best.iter_mut().zip(local) {
+                    *b = (*b).max(l);
+                }
+                best
+            })
+            .expect("the pool runs at least one worker");
         Self::prefix_max(&best_at_label, n)
     }
 
     /// [`ReachAnalysis::relative_margins_threads`] at the machine's full
-    /// parallelism — with a serial cutoff: below a few thousand vertices
-    /// the whole `O(V²)` scan costs less than spawning a thread team, so
-    /// small forks (the exhaustive/proptest grids, the golden pins) take
-    /// the serial path unchanged.
+    /// parallelism ([`pool::default_threads`]) — with a serial cutoff:
+    /// below a few thousand vertices the whole `O(V²)` scan costs less
+    /// than spawning a thread team, so small forks (the
+    /// exhaustive/proptest grids, the golden pins) take the serial path
+    /// unchanged.
     pub fn relative_margins_parallel(&self) -> Vec<i64> {
         const SERIAL_CUTOFF_VERTICES: usize = 4_096;
         if self.fork.vertex_count() < SERIAL_CUTOFF_VERTICES {
             return self.relative_margins();
         }
-        let threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1);
-        self.relative_margins_threads(threads)
+        self.relative_margins_threads(pool::default_threads())
     }
 
     /// Folds a per-meeting-label best table into the cut-indexed margins.

@@ -11,6 +11,7 @@
 
 use serde::Serialize;
 
+use multihonest_core::pool;
 use multihonest_sim::{Simulation, Strategy};
 
 use crate::engine::Execution;
@@ -91,50 +92,6 @@ pub struct ScenarioBenchReport {
     pub million_slots_per_second: f64,
     /// Seconds since the Unix epoch when the run finished.
     pub unix_time_seconds: u64,
-}
-
-/// Runs jobs `0..n` on up to `threads` scoped workers pulling from a
-/// shared atomic counter, returning results in job order (deterministic
-/// whatever the parallelism).
-fn run_jobs<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let counter = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let counter = &counter;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::new();
-                loop {
-                    let i = counter.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    out.push((i, f(i)));
-                }
-                out
-            }));
-        }
-        for h in handles {
-            for (i, v) in h.join().expect("worker panicked") {
-                slots[i] = Some(v);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job ran"))
-        .collect()
 }
 
 /// Asserts one scenario's columnar run is trace-identical to the
@@ -222,7 +179,7 @@ pub fn scenario_bench_report(
 
     // 2. The thread-parallel scenario sweep.
     let grid = scenario_library(grid_slots);
-    let rows = run_jobs(grid.len(), threads, |i| {
+    let rows = pool::map(grid.len(), threads, |i| {
         let sc = &grid[i];
         let schedule = sc.schedule(seed);
         let mut strategy = sc.strategy();

@@ -19,10 +19,10 @@
 //!   Work partitioning (threads, chunk claim order, interruptions)
 //!   cannot touch any execution's randomness.
 //! * [`run_campaign`] — a work-stealing executor over
-//!   `std::thread::scope`: per-worker chunk claiming off one atomic
-//!   counter, one reused [`ExecutionArena`] + schedule per worker, every
-//!   execution streamed (no retained traces). Memory is bounded by
-//!   `O(threads + cells)`, not the trial count.
+//!   [`multihonest_core::pool`]: per-worker chunk claiming, one reused
+//!   [`ExecutionArena`] + schedule per worker, every execution streamed
+//!   (no retained traces). Memory is bounded by `O(threads + cells)`,
+//!   not the trial count.
 //! * [`Checkpoint`] — completed-cell aggregates flushed atomically to
 //!   JSON; an interrupted campaign resumes **byte-identically** (the
 //!   resume tests compare final report bytes across interrupt points and

@@ -1,10 +1,10 @@
 //! The work-stealing campaign executor.
 //!
-//! The campaign is flattened into `(cell, trial-chunk)` work units; a
-//! scoped worker per thread claims units off a single atomic counter —
-//! the same stealing discipline as `CanonicalMonteCarlo`, so a fast
-//! worker drains what a slow one never claims and the partition of work
-//! onto threads is load-driven. Results cannot depend on that partition:
+//! The campaign is flattened into `(cell, trial-chunk)` work units that
+//! the workers of [`multihonest_core::pool`] claim one at a time — the
+//! pool behind every parallel site, so a fast worker drains what a slow
+//! one never claims and the partition of work onto threads is
+//! load-driven. Results cannot depend on that partition:
 //! every trial's seed is a pure function of `(root, cell, trial)` and
 //! every per-cell fold is commutative ([`CellAggregate`]), so 1, 4 and 8
 //! threads produce bit-identical aggregates.
@@ -27,11 +27,13 @@
 //! run.
 
 use std::io;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use multihonest_core::pool;
 use multihonest_obs::{Heartbeat, ObsRecorder};
 use multihonest_scenario::{BatchExecution, LeaderProbs};
 
@@ -164,36 +166,29 @@ pub fn run_campaign_observed(
         }
     }
 
-    let next_unit = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
     let completed_this_run = AtomicUsize::new(0);
     let executions_run = AtomicU64::new(0);
     let flush_lock = Mutex::new(());
     let flush_error: Mutex<Option<io::Error>> = Mutex::new(None);
 
     // Observability plumbing: workers record into per-thread shards
-    // (same epoch, distinct tids) collected here and merged at the end;
-    // the heartbeat is shared behind a try_lock so contention never
-    // blocks a worker.
+    // (same epoch, distinct tids) handed back by the pool and merged at
+    // the end; the heartbeat is shared behind a try_lock so contention
+    // never blocks a worker.
     let total_units = units.len();
     let total_execs: u64 = units.iter().map(|&(_, s, e)| e - s).sum();
     let shard_proto: Option<ObsRecorder> = obs.as_ref().map(|o| o.shard(0));
-    let shards: Mutex<Vec<ObsRecorder>> = Mutex::new(Vec::new());
     let hb: Option<Mutex<&mut Heartbeat>> = heartbeat.map(Mutex::new);
-    let worker_id = AtomicUsize::new(0);
 
-    let worker = || {
-        let tid = worker_id.fetch_add(1, Ordering::Relaxed);
-        let mut rec = shard_proto.as_ref().map(|p| p.shard(tid as u32 + 1));
-        let mut batch = BatchExecution::new();
-        loop {
-            if stop.load(Ordering::Acquire) {
-                break;
-            }
-            let u = next_unit.fetch_add(1, Ordering::Relaxed);
-            let Some(&(cell_index, start, end)) = units.get(u) else {
-                break;
-            };
+    let workers = pool::claim(
+        total_units,
+        opts.threads,
+        |worker| {
+            let rec = shard_proto.as_ref().map(|p| p.shard(worker as u32 + 1));
+            (rec, BatchExecution::new())
+        },
+        |(rec, batch), u| {
+            let (cell_index, start, end) = units[u];
             if let Some(r) = rec.as_mut() {
                 use multihonest_obs::Recorder as _;
                 r.gauge(
@@ -259,14 +254,16 @@ pub fn run_campaign_observed(
                 .merge(&chunk);
             let left = slots[cell_index].remaining.fetch_sub(1, Ordering::AcqRel) - 1;
             if left > 0 {
-                continue;
+                return ControlFlow::Continue(());
             }
             // This worker landed the cell's last chunk: count it and
             // flush the completed prefix.
             let finished = completed_this_run.fetch_add(1, Ordering::AcqRel) + 1;
-            if opts.stop_after_cells.is_some_and(|limit| finished >= limit) {
-                stop.store(true, Ordering::Release);
-            }
+            let mut flow = if opts.stop_after_cells.is_some_and(|limit| finished >= limit) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            };
             if let Some(path) = &opts.checkpoint {
                 let _serialize_writes = flush_lock.lock().expect("poisoned");
                 let write_start = rec.is_some().then(Instant::now);
@@ -287,32 +284,17 @@ pub fn run_campaign_observed(
                 }
                 if let Err(e) = written {
                     *flush_error.lock().expect("poisoned") = Some(e);
-                    stop.store(true, Ordering::Release);
+                    flow = ControlFlow::Break(());
                 }
             }
-        }
-        if let Some(r) = rec {
-            shards.lock().expect("poisoned").push(r);
-        }
-    };
-
-    let threads = opts.threads.max(1);
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
-            }
-        });
-    }
+            flow
+        },
+    );
 
     if let Some(o) = obs {
-        let mut collected = shards.into_inner().expect("poisoned");
-        // Merge in tid order so the combined timeline is deterministic
-        // for a given work partition.
-        collected.sort_by_key(|s| s.tid());
-        for shard in collected {
+        // Worker order is tid order, so the combined timeline is
+        // deterministic for a given work partition.
+        for shard in workers.into_iter().filter_map(|(rec, _)| rec) {
             o.merge(shard);
         }
     }
