@@ -1,9 +1,9 @@
-//! Shared experiment code for the `table1` and `experiments` binaries and
-//! the Criterion benches.
-//!
-//! Every artifact of the paper's evaluation maps to a function here (see
-//! DESIGN.md's experiment index E1–E10); the binaries are thin clients
-//! that format the returned structures as text or JSON.
+//! The bench harness behind the `mh` binary: every artifact of the
+//! paper's evaluation maps to a function here (see DESIGN.md's
+//! experiment index E1–E10), the seven perf-trajectory report builders
+//! (`BENCH_*.json`) and their registry (`regress.rs`), the argv grammar
+//! ([`cli::parse`]) and the subcommands ([`commands::run`]).
+//! `src/bin/mh.rs` only maps their errors to exit codes.
 
 use serde::Serialize;
 
@@ -12,7 +12,9 @@ use multihonest::core::pool;
 use multihonest::margin::ExactSettlement;
 use multihonest::prelude::*;
 
-pub mod regress;
+pub mod cli;
+pub mod commands;
+mod regress;
 
 /// One regenerated cell of paper Table 1.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -43,7 +45,7 @@ pub fn table1_condition(alpha: f64, ratio: f64) -> BernoulliCondition {
 /// Regenerates Table 1 (experiment E1) for the given parameter subsets,
 /// sharing one banded DP pass per `(α, ratio)` pair, with pairs fanned
 /// out across `threads` workers of [`pool`] (the `--threads` knob of the
-/// `table1` binary). Cell order is identical for every thread count.
+/// `mh table1` subcommand). Cell order is identical for every thread count.
 /// Pass smaller `ks` for a quick look.
 pub fn generate_table1_threads(
     alphas: &[f64],
@@ -368,178 +370,6 @@ pub fn catalan_tail_experiment(trials: u64, threads: usize) -> Vec<CatalanTailRo
     rows
 }
 
-/// Minimal CLI parsing shared by the bench binaries (bare
-/// `std::env::args` handling; no argument-parser crate offline).
-///
-/// Malformed command lines are reported, not panicked on: every parser
-/// returns a [`CliError`](cli::CliError) describing what was wrong, and
-/// the binaries convert it into a usage message plus exit status 2 via
-/// [`or_usage`](cli::or_usage). A value-taking flag followed by another
-/// `--`-prefixed token is an error — `--seed --quick` used to silently
-/// parse `--quick` as the seed.
-pub mod cli {
-    use std::fmt;
-    use std::str::FromStr;
-
-    /// A malformed command line, human-readable.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct CliError(String);
-
-    impl fmt::Display for CliError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str(&self.0)
-        }
-    }
-
-    /// The value following `--flag`.
-    ///
-    /// `Ok(None)` when the flag is absent; an error when the flag is
-    /// present but followed by nothing or by another `--`-prefixed
-    /// token (which is a flag, not a value).
-    pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, CliError> {
-        let Some(i) = args.iter().position(|a| a == flag) else {
-            return Ok(None);
-        };
-        match args.get(i + 1).map(String::as_str) {
-            Some(v) if !v.starts_with("--") => Ok(Some(v)),
-            Some(v) => Err(CliError(format!(
-                "{flag} expects a value, found flag '{v}'"
-            ))),
-            None => Err(CliError(format!("{flag} expects a value"))),
-        }
-    }
-
-    /// The value of `--flag` parsed as `T`; `Ok(None)` when absent.
-    pub fn parsed_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, CliError> {
-        match flag_value(args, flag)? {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| CliError(format!("{flag}: invalid value '{v}'"))),
-        }
-    }
-
-    /// Fails on any `--` token outside `switches` and `value_flags`, and
-    /// on any positional word outside `words` (a value-taking flag's value
-    /// is not positional) — catches typos like `--thread` or `horzion`
-    /// before they are silently ignored.
-    pub fn reject_unknown_flags(
-        args: &[String],
-        switches: &[&str],
-        value_flags: &[&str],
-        words: &[&str],
-    ) -> Result<(), CliError> {
-        let known = |a: &str| switches.contains(&a) || value_flags.contains(&a);
-        if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known(a)) {
-            return Err(CliError(format!("unknown flag '{flag}'")));
-        }
-        match positionals(args, value_flags)
-            .into_iter()
-            .find(|w| !words.contains(w))
-        {
-            Some(word) => Err(CliError(format!("unknown argument '{word}'"))),
-            None => Ok(()),
-        }
-    }
-
-    /// The `--threads` worker count: all cores when absent, and an error
-    /// for 0 — a run needs at least one worker.
-    pub fn threads(args: &[String]) -> Result<usize, CliError> {
-        match parsed_flag(args, "--threads")? {
-            Some(0) => Err(CliError("--threads must be at least 1".to_string())),
-            Some(n) => Ok(n),
-            None => Ok(super::pool::default_threads()),
-        }
-    }
-
-    /// Positional (non-`--`) arguments, excluding the values consumed by
-    /// the listed value-taking flags.
-    pub fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
-        args.iter()
-            .enumerate()
-            .filter(|(i, a)| {
-                !a.starts_with("--")
-                    && !i
-                        .checked_sub(1)
-                        .map(|p| value_flags.contains(&args[p].as_str()))
-                        .unwrap_or(false)
-            })
-            .map(|(_, a)| a.as_str())
-            .collect()
-    }
-
-    /// Unwraps a parse result or prints `error: ...` plus the usage
-    /// string to stderr and exits with status 2.
-    pub fn or_usage<T>(result: Result<T, CliError>, usage: &str) -> T {
-        match result {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("usage: {usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn args(tokens: &[&str]) -> Vec<String> {
-            tokens.iter().map(|t| t.to_string()).collect()
-        }
-
-        #[test]
-        fn absent_flag_is_none() {
-            assert_eq!(flag_value(&args(&["--quick"]), "--seed"), Ok(None));
-            assert_eq!(parsed_flag::<u64>(&args(&[]), "--seed"), Ok(None));
-        }
-
-        #[test]
-        fn present_flag_yields_its_value() {
-            let a = args(&["--seed", "17", "--quick"]);
-            assert_eq!(flag_value(&a, "--seed"), Ok(Some("17")));
-            assert_eq!(parsed_flag::<u64>(&a, "--seed"), Ok(Some(17)));
-        }
-
-        #[test]
-        fn flag_shaped_value_rejected() {
-            // The bug this module's rewrite fixes: "--seed --quick" must
-            // not parse "--quick" as the seed.
-            let a = args(&["--seed", "--quick"]);
-            let err = flag_value(&a, "--seed").unwrap_err();
-            assert!(err.to_string().contains("found flag '--quick'"), "{err}");
-            assert!(parsed_flag::<u64>(&a, "--seed").is_err());
-        }
-
-        #[test]
-        fn trailing_flag_without_value_rejected() {
-            let err = flag_value(&args(&["--out"]), "--out").unwrap_err();
-            assert_eq!(err.to_string(), "--out expects a value");
-        }
-
-        #[test]
-        fn unparseable_value_names_the_flag() {
-            let err = parsed_flag::<u64>(&args(&["--seed", "abc"]), "--seed").unwrap_err();
-            assert_eq!(err.to_string(), "--seed: invalid value 'abc'");
-        }
-
-        #[test]
-        fn unknown_flags_are_caught() {
-            let a = args(&["--thread", "4"]);
-            assert!(reject_unknown_flags(&a, &[], &["--threads"], &[]).is_err());
-            assert_eq!(reject_unknown_flags(&a, &[], &["--thread"], &[]), Ok(()));
-        }
-
-        #[test]
-        fn positionals_skip_flag_values() {
-            let a = args(&["run", "--seed", "3", "fast", "--quick"]);
-            assert_eq!(positionals(&a, &["--seed"]), vec!["run", "fast"]);
-        }
-    }
-}
-
 /// A machine-readable timing record of one Table-1 grid regeneration —
 /// the repo's margin-DP perf trajectory (`BENCH_margin.json`). Every PR
 /// that touches the kernel can diff a fresh run against the committed
@@ -580,8 +410,7 @@ pub struct BenchReport {
 }
 
 /// Times a Table-1 grid regeneration and returns the cells plus the
-/// [`BenchReport`] describing the run (the `bench-report` mode of the
-/// `table1` binary).
+/// [`BenchReport`] describing the run (`mh bench margin`).
 pub fn bench_report(
     alphas: &[f64],
     ratios: &[f64],
@@ -663,7 +492,7 @@ pub struct SimBenchReport {
 
 /// The canonical sim-bench configuration: the 2000-slot private
 /// withholding execution named by the ROADMAP as the simulator's
-/// remaining hot path (identical to the criterion `sim_bench` shape).
+/// remaining hot path.
 pub fn sim_bench_config(slots: usize) -> SimConfig {
     SimConfig {
         honest_nodes: 10,
@@ -1015,8 +844,7 @@ fn sweep_resume_precheck(seed: u64) -> (usize, f64) {
 
 /// Runs the campaign-sweep benchmark: the resume pre-check, then one
 /// timed campaign over `spec`, returning the campaign report plus the
-/// [`SweepBenchReport`] describing the run (the `bench-report` mode of
-/// the `sweep` binary).
+/// [`SweepBenchReport`] describing the run (`mh bench sweep`).
 ///
 /// # Panics
 ///
@@ -1134,7 +962,7 @@ pub struct FaultsBenchReport {
 /// Runs the fault-injection benchmark: the dual-engine equivalence
 /// pre-check over the whole [`fault_library`], then the Δ-conservatism
 /// harness ([`check_conservatism`]) per scenario, fanned out across
-/// `threads` workers (the `faults` binary).
+/// `threads` workers (`mh bench faults`).
 ///
 /// # Panics
 ///
@@ -1312,7 +1140,7 @@ impl multihonest::sim::MetricsSink for MarginChannelProbe {
     }
 }
 
-/// Runs the streaming-fork-pipeline benchmark (the `forkflow` binary):
+/// Runs the streaming-fork-pipeline benchmark (`mh bench forkflow`):
 /// the online-validation comparison at `baseline_slots`, the headline
 /// streaming run at `streaming_slots`, and the incremental-µ_x
 /// comparison on a length-`mu_len` sampled string.
@@ -1559,7 +1387,7 @@ mod tests {
 
     #[test]
     fn sim_bench_report_is_well_formed_and_indexed_sweep_wins() {
-        // A reduced grid of the acceptance-criterion sweep: the batch API
+        // A reduced grid of the acceptance-bar sweep: the batch API
         // must reproduce the oracle's violating-slot sets bit-identically
         // (asserted inside sim_bench_report) and be ≥ 10× faster. The real
         // margin is orders of magnitude, but the indexed sweep only takes

@@ -1,111 +1,389 @@
-//! The unified bench-regression gate: rebuild every perf-trajectory
-//! report in-process and diff it against the committed `BENCH_*.json`
-//! baseline with an explicit tolerance.
+//! The bench-target registry and the baseline regression gate.
 //!
-//! This replaces the previous per-binary CI smoke steps (seven separate
-//! `cargo run … | python3` blocks) with one auditable gate. For every
-//! target the gate re-runs the exact grid its binary would run, parses
-//! both the fresh report and the committed baseline into the vendored
-//! [`Value`] tree, and checks three layers:
+//! Every perf-trajectory report is one [`BenchTarget`] in [`TARGETS`]:
+//! its quick and full grid, default seed, invariants and headline field
+//! are written here once. `mh bench <name>` builds a target's report and
+//! writes it; `mh regress` rebuilds every target in-process and diffs it
+//! against the committed `BENCH_<name>.json` baseline in three layers:
 //!
-//! 1. **schema + shape** — the schema tags match the expected constant
-//!    and the top-level key sets are identical (a report field added or
-//!    removed without regenerating the baseline fails loudly);
-//! 2. **invariants** — the per-target correctness facts the old CI
-//!    asserted in python (engine-equivalence counts, conservatism
-//!    verdicts, `ρ`-agreement totals, executions laws), applied to the
-//!    fresh report *and* re-checked on the committed baseline;
-//! 3. **throughput** *(full grids only)* — the target's headline
-//!    throughput figure must stay within `tolerance` (a relative
-//!    regression fraction) of the committed number. Quick grids skip
-//!    this layer: their shapes are intentionally incomparable to the
-//!    full-grid baselines, and timing on shared CI runners is noise.
+//! 1. **schema + shape** — both reports carry the tag
+//!    `multihonest-bench-<name>/v1` and identical top-level key sets (a
+//!    report field added or removed without regenerating the baseline
+//!    fails loudly);
+//! 2. **invariants** — the target's correctness facts (engine-equivalence
+//!    counts, conservatism verdicts, `ρ`-agreement totals, executions
+//!    laws), on the fresh report and, where stated, on the baseline;
+//! 3. **throughput** *(full grids only)* — the target's headline figure
+//!    must stay within `tolerance` (a relative regression fraction) of
+//!    the committed number. Quick grids skip this layer: their shapes are
+//!    incomparable to the full-grid baselines, and timing on shared CI
+//!    runners is noise.
 //!
-//! Every numeric parameter here mirrors its binary's defaults — the
-//! fresh quick report is the same object `<bin> bench-report --quick`
+//! The fresh quick report is the object `mh bench <name> --quick`
 //! writes, so a gate failure always reproduces from the command line.
 
-use serde::Value;
 use std::path::{Path, PathBuf};
 
-/// The regression targets, in gate order. Each `t` diffs against
-/// `BENCH_<t>.json`.
-pub const REGRESS_TARGETS: [&str; 7] = [
-    "margin", "sim", "astar", "scenario", "sweep", "faults", "forkflow",
-];
+use serde::{Serialize, Value};
 
-/// Options for one gate run.
-#[derive(Debug, Clone)]
-pub struct RegressOptions {
-    /// Rebuild the reduced grids (the CI mode). `false` re-runs the
-    /// full published grids and adds the throughput layer.
-    pub quick: bool,
-    /// Allowed relative throughput regression on full grids: fresh
-    /// headline ≥ `(1 − tolerance) ×` baseline. Ignored when `quick`.
-    pub tolerance: f64,
-    /// Directory holding the committed `BENCH_*.json` baselines.
-    pub baseline_dir: PathBuf,
-    /// Worker threads for the targets that fan out.
-    pub threads: usize,
+use multihonest::sim::SimConfig;
+use multihonest_scenario::ScenarioBenchReport;
+use multihonest_sweep::CampaignSpec;
+
+/// One report of the perf trajectory.
+pub(crate) trait BenchTarget: Sync {
+    /// The `mh bench` word; the report diffs against `BENCH_<name>.json`
+    /// and carries the schema tag `multihonest-bench-<name>/v1`.
+    fn name(&self) -> &'static str;
+    /// The default seed; `None` for a seedless report (`--seed` is then
+    /// refused).
+    fn seed(&self) -> Option<u64>;
+    /// Whether the report fans out over workers; a serial one refuses
+    /// `--threads`.
+    fn threaded(&self) -> bool {
+        true
+    }
+    /// Builds the report on the quick or the full grid.
+    fn build(&self, quick: bool, threads: usize, seed: u64) -> Value;
+    /// The target's invariants over the fresh report and the baseline.
+    fn invariants(&self, _fresh: &Value, _base: &Value, _c: &mut Checks) {}
+    /// The headline throughput field (bigger is better) checked on full
+    /// grids; `None` when the headline lives in a test.
+    fn headline(&self) -> Option<&'static str>;
 }
 
-impl Default for RegressOptions {
-    fn default() -> RegressOptions {
-        RegressOptions {
-            quick: true,
-            tolerance: 0.5,
-            baseline_dir: PathBuf::from("."),
-            threads: multihonest::core::pool::default_threads(),
+/// The registry, in gate order.
+pub(crate) const TARGETS: [&dyn BenchTarget; 7] =
+    [&Margin, &Sim, &Astar, &Scenario, &Sweep, &Faults, &Forkflow];
+
+/// The registry entry called `name`.
+pub(crate) fn target(name: &str) -> Option<&'static dyn BenchTarget> {
+    TARGETS.iter().copied().find(|t| t.name() == name)
+}
+
+/// The Table-1 grid `(alphas, ratios, ks)`: a 3 × 2 × 2 corner, or the
+/// published 6 × 6 × 5 table.
+pub(crate) fn table1_grid(quick: bool) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
+    if quick {
+        (vec![0.10, 0.30, 0.40], vec![1.0, 0.5], vec![100, 200])
+    } else {
+        (
+            crate::TABLE1_ALPHAS.to_vec(),
+            crate::TABLE1_RATIOS.to_vec(),
+            crate::TABLE1_KS.to_vec(),
+        )
+    }
+}
+
+/// The settlement sweep's execution and its `k` column.
+pub(crate) fn settlement_grid(quick: bool) -> (SimConfig, Vec<usize>) {
+    (
+        crate::sim_bench_config(if quick { 600 } else { 2_000 }),
+        vec![5, 10, 20, 40, 80, 160],
+    )
+}
+
+/// The scenario report: equivalence grid, table rows and headline run.
+pub(crate) fn scenario_report(quick: bool, seed: u64, threads: usize) -> ScenarioBenchReport {
+    let ks = [5, 20, 80];
+    let (equivalence, grid, headline) = if quick {
+        (600, 20_000, 100_000)
+    } else {
+        (2_000, 200_000, 1_000_000)
+    };
+    multihonest_scenario::scenario_bench_report(equivalence, grid, headline, seed, &ks, threads)
+}
+
+/// The campaign grid of `mh sweep` and of the sweep target.
+pub(crate) fn campaign_spec(quick: bool) -> CampaignSpec {
+    if quick {
+        CampaignSpec::quick_grid()
+    } else {
+        CampaignSpec::default_grid()
+    }
+}
+
+struct Margin;
+
+impl BenchTarget for Margin {
+    fn name(&self) -> &'static str {
+        "margin"
+    }
+    fn seed(&self) -> Option<u64> {
+        None
+    }
+    fn build(&self, quick: bool, threads: usize, _seed: u64) -> Value {
+        let (alphas, ratios, ks) = table1_grid(quick);
+        crate::bench_report(&alphas, &ratios, &ks, threads)
+            .1
+            .to_value()
+    }
+    fn invariants(&self, fresh: &Value, _base: &Value, c: &mut Checks) {
+        let (a, r, k) = (
+            c.array_len(fresh, "fresh", "alphas"),
+            c.array_len(fresh, "fresh", "ratios"),
+            c.array_len(fresh, "fresh", "ks"),
+        );
+        let cells = c.u64_field(fresh, "fresh", "cells");
+        c.check(cells as usize == a * r * k, || {
+            format!("fresh cells {cells} != alphas×ratios×ks = {}", a * r * k)
+        });
+        let checksum = c.f64_field(fresh, "fresh", "probability_checksum");
+        c.check(checksum.is_finite() && checksum > 0.0, || {
+            format!("fresh probability_checksum {checksum} not a positive finite number")
+        });
+    }
+    fn headline(&self) -> Option<&'static str> {
+        Some("cells_per_second")
+    }
+}
+
+/// Schema and key-set layers carry this target; the builder itself
+/// asserts indexed/oracle bit-identity before timing.
+struct Sim;
+
+impl BenchTarget for Sim {
+    fn name(&self) -> &'static str {
+        "sim"
+    }
+    fn seed(&self) -> Option<u64> {
+        Some(9)
+    }
+    fn threaded(&self) -> bool {
+        false
+    }
+    fn build(&self, quick: bool, _threads: usize, seed: u64) -> Value {
+        let (cfg, ks) = settlement_grid(quick);
+        crate::sim_bench_report(&cfg, seed, &ks).to_value()
+    }
+    fn headline(&self) -> Option<&'static str> {
+        Some("sweep_speedup")
+    }
+}
+
+struct Astar;
+
+impl BenchTarget for Astar {
+    fn name(&self) -> &'static str {
+        "astar"
+    }
+    fn seed(&self) -> Option<u64> {
+        Some(4)
+    }
+    fn build(&self, quick: bool, threads: usize, seed: u64) -> Value {
+        let (ns, oracle_ns, mc_len, mc_trials): (&[usize], &[usize], usize, u64) = if quick {
+            (&[100, 400], &[100, 400], 1_000, 8)
+        } else {
+            (&[200, 800, 3_000, 10_000], &[200, 800], 10_000, 32)
+        };
+        crate::astar_bench_report(ns, oracle_ns, mc_len, mc_trials, threads, seed).to_value()
+    }
+    fn invariants(&self, fresh: &Value, base: &Value, c: &mut Checks) {
+        for (who, v) in [("fresh", fresh), ("baseline", base)] {
+            let agreements = c.u64_field(v, who, "mc_rho_agreements");
+            let trials = c.u64_field(v, who, "mc_trials");
+            c.check(agreements == trials, || {
+                format!("{who} mc_rho_agreements {agreements} != mc_trials {trials}")
+            });
         }
     }
-}
-
-/// The verdict for one target: every failed check, with the check count
-/// for context.
-#[derive(Debug)]
-pub struct TargetOutcome {
-    /// Which target ran.
-    pub target: &'static str,
-    /// The baseline file it diffed against.
-    pub baseline_path: PathBuf,
-    /// Checks evaluated.
-    pub checks: usize,
-    /// Human-readable descriptions of every failed check.
-    pub failures: Vec<String>,
-}
-
-impl TargetOutcome {
-    /// `true` when every check passed.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
+    fn headline(&self) -> Option<&'static str> {
+        Some("speedup_at_largest_oracle_n")
     }
 }
 
-/// The expected schema tag of a target's report.
-pub fn expected_schema(target: &str) -> Option<&'static str> {
-    Some(match target {
-        "margin" => "multihonest-bench-margin/v1",
-        "sim" => "multihonest-bench-sim/v1",
-        "astar" => "multihonest-bench-astar/v1",
-        "scenario" => "multihonest-bench-scenario/v1",
-        "sweep" => "multihonest-bench-sweep/v1",
-        "faults" => "multihonest-bench-faults/v1",
-        "forkflow" => "multihonest-bench-forkflow/v1",
-        _ => return None,
-    })
+struct Scenario;
+
+impl BenchTarget for Scenario {
+    fn name(&self) -> &'static str {
+        "scenario"
+    }
+    fn seed(&self) -> Option<u64> {
+        Some(9)
+    }
+    fn build(&self, quick: bool, threads: usize, seed: u64) -> Value {
+        scenario_report(quick, seed, threads).to_value()
+    }
+    fn invariants(&self, fresh: &Value, base: &Value, c: &mut Checks) {
+        let fe = c.u64_field(fresh, "fresh", "equivalence_scenarios");
+        let be = c.u64_field(base, "baseline", "equivalence_scenarios");
+        c.check(fe == be, || {
+            format!("equivalence_scenarios differ: fresh {fe} vs baseline {be}")
+        });
+        let (fn_, bn) = (names(fresh, "rows", "name"), names(base, "rows", "name"));
+        c.check(!fn_.is_empty() && fn_ == bn, || {
+            format!("scenario rosters differ: fresh {fn_:?} vs baseline {bn:?}")
+        });
+    }
+    fn headline(&self) -> Option<&'static str> {
+        Some("million_slots_per_second")
+    }
+}
+
+struct Sweep;
+
+impl BenchTarget for Sweep {
+    fn name(&self) -> &'static str {
+        "sweep"
+    }
+    fn seed(&self) -> Option<u64> {
+        Some(CampaignSpec::default_grid().seed)
+    }
+    fn build(&self, quick: bool, threads: usize, seed: u64) -> Value {
+        let spec = CampaignSpec {
+            seed,
+            ..campaign_spec(quick)
+        };
+        crate::sweep_bench_report(&spec, threads).1.to_value()
+    }
+    fn invariants(&self, fresh: &Value, base: &Value, c: &mut Checks) {
+        for (who, v) in [("fresh", fresh), ("baseline", base)] {
+            let cells = c.u64_field(v, who, "cells");
+            c.check(cells == 24, || format!("{who} cells {cells} != 24"));
+            let executions = c.u64_field(v, who, "executions");
+            let trials = c.u64_field(v, who, "trials_per_cell");
+            c.check(executions == cells * trials, || {
+                format!("{who} executions {executions} != cells {cells} × trials {trials}")
+            });
+        }
+    }
+    fn headline(&self) -> Option<&'static str> {
+        Some("executions_per_second")
+    }
+}
+
+/// The Δ-conservatism verdict table; its headline lives in the builder's
+/// own assertions.
+struct Faults;
+
+impl BenchTarget for Faults {
+    fn name(&self) -> &'static str {
+        "faults"
+    }
+    fn seed(&self) -> Option<u64> {
+        Some(0xC0FFEE)
+    }
+    /// Full: the horizon of the scenario fingerprint pins, with enough
+    /// trials for the empirical frequencies to mean something. Quick:
+    /// the smallest grid that still activates every fault window.
+    fn build(&self, quick: bool, threads: usize, seed: u64) -> Value {
+        let (slots, trials, ks): (usize, u64, &[usize]) = if quick {
+            (160, 8, &[8, 24])
+        } else {
+            (400, 48, &[8, 16, 32])
+        };
+        crate::faults_bench_report(slots, trials, ks, threads, seed).to_value()
+    }
+    fn invariants(&self, fresh: &Value, base: &Value, c: &mut Checks) {
+        let (fr, br) = (
+            names(fresh, "scenarios", "scenario"),
+            names(base, "scenarios", "scenario"),
+        );
+        c.check(!fr.is_empty() && fr == br, || {
+            format!("fault-scenario rosters differ: fresh {fr:?} vs baseline {br:?}")
+        });
+        for (who, v) in [("fresh", fresh), ("baseline", base)] {
+            let all = v.get("all_conservative").and_then(Value::as_bool) == Some(true);
+            c.check(all, || format!("{who} all_conservative is not true"));
+            let scenarios = v.get("scenarios").and_then(Value::as_array).unwrap_or(&[]);
+            for s in scenarios {
+                let name = s.get("scenario").and_then(Value::as_str).unwrap_or("?");
+                c.check(
+                    s.get("conservative").and_then(Value::as_bool) == Some(true),
+                    || format!("{who} scenario {name:?} not conservative"),
+                );
+                c.check(s.get("dropped").and_then(Value::as_u64) == Some(0), || {
+                    format!("{who} scenario {name:?} dropped deliveries != 0")
+                });
+            }
+        }
+    }
+    fn headline(&self) -> Option<&'static str> {
+        None
+    }
+}
+
+struct Forkflow;
+
+impl BenchTarget for Forkflow {
+    fn name(&self) -> &'static str {
+        "forkflow"
+    }
+    fn seed(&self) -> Option<u64> {
+        Some(0xF0_12D)
+    }
+    fn threaded(&self) -> bool {
+        false
+    }
+    /// Full: the million-slot headline, with the validation comparison
+    /// at the same horizon — the batch (F4Δ) sweep is quadratic in the
+    /// honest-slot count, exactly the scale gate the streaming pipeline
+    /// removes. µ_x lengths stay small: the rebuild baseline is the
+    /// definitional O(V²) pair scan per step, cubic in the horizon.
+    /// Quick: the smallest grid that still exercises every path.
+    fn build(&self, quick: bool, _threads: usize, seed: u64) -> Value {
+        let (slots, baseline_slots, mu_len) = if quick {
+            (20_000, 10_000, 150)
+        } else {
+            (1_000_000, 1_000_000, 600)
+        };
+        crate::forkflow_bench_report(slots, baseline_slots, mu_len, seed).to_value()
+    }
+    fn invariants(&self, fresh: &Value, base: &Value, c: &mut Checks) {
+        for (who, v) in [("fresh", fresh), ("baseline", base)] {
+            let valid = c.bool_field(v, who, "streaming_valid");
+            c.check(valid, || format!("{who} streaming_valid is not true"));
+            let events = c.u64_field(v, who, "streaming_margin_events");
+            c.check(events > 0, || format!("{who} streaming_margin_events == 0"));
+            let checks = c.u64_field(v, who, "mu_checks");
+            let mu_len = c.u64_field(v, who, "mu_len");
+            let cuts = c.array_len(v, who, "mu_cuts");
+            c.check(checks == mu_len * cuts as u64, || {
+                format!("{who} mu_checks {checks} != mu_len {mu_len} × cuts {cuts}")
+            });
+        }
+        let speedup = c.f64_field(base, "baseline", "validation_speedup");
+        c.check(speedup >= 10.0, || {
+            format!("baseline validation_speedup {speedup:.2} < 10")
+        });
+    }
+    fn headline(&self) -> Option<&'static str> {
+        Some("validation_speedup")
+    }
+}
+
+/// The `key` strings of the objects in array `list` of `v`.
+fn names(v: &Value, list: &str, key: &str) -> Vec<String> {
+    v.get(list)
+        .and_then(Value::as_array)
+        .map(|items| {
+            items
+                .iter()
+                .filter_map(|item| item.get(key).and_then(Value::as_str))
+                .map(str::to_string)
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// The schema tag of a target's report.
+fn schema_tag(name: &str) -> String {
+    format!("multihonest-bench-{name}/v1")
 }
 
 /// The committed baseline file a target diffs against.
-pub fn baseline_path(dir: &Path, target: &str) -> PathBuf {
-    dir.join(format!("BENCH_{target}.json"))
+pub(crate) fn baseline_path(dir: &Path, name: &str) -> PathBuf {
+    dir.join(format!("BENCH_{name}.json"))
 }
 
 /// Check accumulator: every assertion lands here, failures carry a
 /// rendered description instead of panicking so one broken target still
 /// reports every divergence it has.
-struct Checks {
-    n: usize,
-    failures: Vec<String>,
+pub(crate) struct Checks {
+    /// Checks evaluated.
+    pub(crate) n: usize,
+    /// A description of every failed check.
+    pub(crate) failures: Vec<String>,
 }
 
 impl Checks {
@@ -141,7 +419,7 @@ impl Checks {
         });
     }
 
-    /// `report[key]` is the expected schema string, in both reports.
+    /// `report["schema"]` is the expected tag, in both reports.
     fn schemas_match(&mut self, fresh: &Value, base: &Value, expected: &str) {
         for (who, v) in [("fresh", fresh), ("baseline", base)] {
             let got = v.get("schema").and_then(Value::as_str);
@@ -197,311 +475,33 @@ impl Checks {
     }
 }
 
-/// Loads and parses one committed baseline.
-fn load_baseline(path: &Path) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path)
+/// Rebuilds `t`'s report and diffs it against the baseline in `dir`.
+///
+/// # Errors
+///
+/// An unreadable or unparsable baseline; check *failures* land in the
+/// returned [`Checks`] instead.
+pub(crate) fn regress(
+    t: &dyn BenchTarget,
+    quick: bool,
+    threads: usize,
+    tolerance: f64,
+    dir: &Path,
+) -> Result<Checks, String> {
+    let path = baseline_path(dir, t.name());
+    let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("baseline {} is not JSON: {e}", path.display()))
-}
-
-/// Serializes a fresh report back through the same JSON pipeline the
-/// binaries use and reparses it, so fresh and baseline are compared as
-/// identical tree shapes.
-fn reparse<T: serde::Serialize>(report: &T) -> Result<Value, String> {
-    let text = serde_json::to_string(report).map_err(|e| format!("serialize fresh report: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("reparse fresh report: {e}"))
-}
-
-/// Rebuilds the target's report on the grid its binary would run.
-fn build_fresh(target: &str, opts: &RegressOptions) -> Result<Value, String> {
-    let quick = opts.quick;
-    let threads = opts.threads;
-    match target {
-        "margin" => {
-            let (alphas, ratios, ks): (Vec<f64>, Vec<f64>, Vec<usize>) = if quick {
-                (vec![0.10, 0.30, 0.40], vec![1.0, 0.5], vec![100, 200])
-            } else {
-                (
-                    crate::TABLE1_ALPHAS.to_vec(),
-                    crate::TABLE1_RATIOS.to_vec(),
-                    crate::TABLE1_KS.to_vec(),
-                )
-            };
-            let (_cells, report) = crate::bench_report(&alphas, &ratios, &ks, threads);
-            reparse(&report)
-        }
-        "sim" => {
-            let cfg = crate::sim_bench_config(if quick { 600 } else { 2_000 });
-            let ks: Vec<usize> = vec![5, 10, 20, 40, 80, 160];
-            reparse(&crate::sim_bench_report(&cfg, 9, &ks))
-        }
-        "astar" => {
-            let (ns, oracle_ns, mc_len, mc_trials): (&[usize], &[usize], usize, u64) = if quick {
-                (&[100, 400], &[100, 400], 1_000, 8)
-            } else {
-                (&[200, 800, 3_000, 10_000], &[200, 800], 10_000, 32)
-            };
-            reparse(&crate::astar_bench_report(
-                ns, oracle_ns, mc_len, mc_trials, threads, 4,
-            ))
-        }
-        "scenario" => {
-            let ks: Vec<usize> = vec![5, 20, 80];
-            let report = if quick {
-                multihonest_scenario::scenario_bench_report(600, 20_000, 100_000, 9, &ks, threads)
-            } else {
-                multihonest_scenario::scenario_bench_report(
-                    2_000, 200_000, 1_000_000, 9, &ks, threads,
-                )
-            };
-            reparse(&report)
-        }
-        "sweep" => {
-            let spec = if quick {
-                multihonest_sweep::CampaignSpec::quick_grid()
-            } else {
-                multihonest_sweep::CampaignSpec::default_grid()
-            };
-            let (_campaign, bench) = crate::sweep_bench_report(&spec, threads);
-            reparse(&bench)
-        }
-        "faults" => {
-            let (slots, trials, ks): (usize, u64, &[usize]) = if quick {
-                (160, 8, &[8, 24])
-            } else {
-                (400, 48, &[8, 16, 32])
-            };
-            reparse(&crate::faults_bench_report(
-                slots, trials, ks, threads, 0xC0FFEE,
-            ))
-        }
-        "forkflow" => {
-            let (slots, baseline_slots, mu_len) = if quick {
-                (20_000, 10_000, 150)
-            } else {
-                (1_000_000, 1_000_000, 600)
-            };
-            reparse(&crate::forkflow_bench_report(
-                slots,
-                baseline_slots,
-                mu_len,
-                0xF0_12D,
-            ))
-        }
-        other => Err(format!("unknown regress target {other:?}")),
-    }
-}
-
-/// Per-target invariant layer: the correctness facts the old per-binary
-/// CI smokes asserted, applied to the fresh report and re-checked on the
-/// committed baseline.
-fn check_invariants(target: &str, fresh: &Value, base: &Value, c: &mut Checks) {
-    match target {
-        "margin" => {
-            let (a, r, k) = (
-                c.array_len(fresh, "fresh", "alphas"),
-                c.array_len(fresh, "fresh", "ratios"),
-                c.array_len(fresh, "fresh", "ks"),
-            );
-            let cells = c.u64_field(fresh, "fresh", "cells");
-            c.check(cells as usize == a * r * k, || {
-                format!("fresh cells {cells} != alphas×ratios×ks = {}", a * r * k)
-            });
-            let checksum = c.f64_field(fresh, "fresh", "probability_checksum");
-            c.check(checksum.is_finite() && checksum > 0.0, || {
-                format!("fresh probability_checksum {checksum} not a positive finite number")
-            });
-        }
-        "sim" => {
-            // Schema + key-set layers carry this target; the builder
-            // itself asserts indexed/oracle bit-identity before timing.
-        }
-        "astar" => {
-            for (who, v) in [("fresh", fresh), ("baseline", base)] {
-                let agreements = c.u64_field(v, who, "mc_rho_agreements");
-                let trials = c.u64_field(v, who, "mc_trials");
-                c.check(agreements == trials, || {
-                    format!("{who} mc_rho_agreements {agreements} != mc_trials {trials}")
-                });
-            }
-        }
-        "scenario" => {
-            let fe = c.u64_field(fresh, "fresh", "equivalence_scenarios");
-            let be = c.u64_field(base, "baseline", "equivalence_scenarios");
-            c.check(fe == be, || {
-                format!("equivalence_scenarios differ: fresh {fe} vs baseline {be}")
-            });
-            let names = |v: &Value| -> Vec<String> {
-                v.get("rows")
-                    .and_then(Value::as_array)
-                    .map(|rows| {
-                        rows.iter()
-                            .filter_map(|row| row.get("name").and_then(Value::as_str))
-                            .map(str::to_string)
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            };
-            let (fn_, bn) = (names(fresh), names(base));
-            c.check(!fn_.is_empty() && fn_ == bn, || {
-                format!("scenario rosters differ: fresh {fn_:?} vs baseline {bn:?}")
-            });
-        }
-        "sweep" => {
-            for (who, v) in [("fresh", fresh), ("baseline", base)] {
-                let cells = c.u64_field(v, who, "cells");
-                c.check(cells == 24, || format!("{who} cells {cells} != 24"));
-                let executions = c.u64_field(v, who, "executions");
-                let trials = c.u64_field(v, who, "trials_per_cell");
-                c.check(executions == cells * trials, || {
-                    format!("{who} executions {executions} != cells {cells} × trials {trials}")
-                });
-            }
-        }
-        "faults" => {
-            let roster = |v: &Value| -> Vec<String> {
-                v.get("scenarios")
-                    .and_then(Value::as_array)
-                    .map(|ss| {
-                        ss.iter()
-                            .filter_map(|s| s.get("scenario").and_then(Value::as_str))
-                            .map(str::to_string)
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            };
-            let (fr, br) = (roster(fresh), roster(base));
-            c.check(!fr.is_empty() && fr == br, || {
-                format!("fault-scenario rosters differ: fresh {fr:?} vs baseline {br:?}")
-            });
-            for (who, v) in [("fresh", fresh), ("baseline", base)] {
-                c.check(c.bool_probe(v, "all_conservative"), || {
-                    format!("{who} all_conservative is not true")
-                });
-                let scenarios = v.get("scenarios").and_then(Value::as_array).unwrap_or(&[]);
-                for s in scenarios {
-                    let name = s.get("scenario").and_then(Value::as_str).unwrap_or("?");
-                    c.check(
-                        s.get("conservative").and_then(Value::as_bool) == Some(true),
-                        || format!("{who} scenario {name:?} not conservative"),
-                    );
-                    c.check(s.get("dropped").and_then(Value::as_u64) == Some(0), || {
-                        format!("{who} scenario {name:?} dropped deliveries != 0")
-                    });
-                }
-            }
-        }
-        "forkflow" => {
-            for (who, v) in [("fresh", fresh), ("baseline", base)] {
-                let valid = c.bool_field(v, who, "streaming_valid");
-                c.check(valid, || format!("{who} streaming_valid is not true"));
-                let events = c.u64_field(v, who, "streaming_margin_events");
-                c.check(events > 0, || format!("{who} streaming_margin_events == 0"));
-                let checks = c.u64_field(v, who, "mu_checks");
-                let mu_len = c.u64_field(v, who, "mu_len");
-                let cuts = c.array_len(v, who, "mu_cuts");
-                c.check(checks == mu_len * cuts as u64, || {
-                    format!("{who} mu_checks {checks} != mu_len {mu_len} × cuts {cuts}")
-                });
-            }
-            let speedup = c.f64_field(base, "baseline", "validation_speedup");
-            c.check(speedup >= 10.0, || {
-                format!("baseline validation_speedup {speedup:.2} < 10")
-            });
-        }
-        _ => {}
-    }
-}
-
-impl Checks {
-    /// Reads a bool field without registering a check (for composite
-    /// assertions that phrase their own failure).
-    fn bool_probe(&self, v: &Value, key: &str) -> bool {
-        v.get(key).and_then(Value::as_bool) == Some(true)
-    }
-}
-
-/// The headline throughput field diffed on full grids (bigger is
-/// better). `None` for targets whose headline lives in a lib test.
-fn throughput_field(target: &str) -> Option<&'static str> {
-    match target {
-        "margin" => Some("cells_per_second"),
-        "sim" => Some("sweep_speedup"),
-        "astar" => Some("speedup_at_largest_oracle_n"),
-        "scenario" => Some("million_slots_per_second"),
-        "sweep" => Some("executions_per_second"),
-        "forkflow" => Some("validation_speedup"),
-        _ => None,
-    }
-}
-
-/// Runs one target's regression gate.
-///
-/// # Errors
-///
-/// Returns `Err` only for environmental failures — an unknown target
-/// name, an unreadable or unparsable baseline file. Check *failures*
-/// land in the returned [`TargetOutcome`] instead.
-pub fn regress_target(
-    target: &'static str,
-    opts: &RegressOptions,
-) -> Result<TargetOutcome, String> {
-    let baseline = baseline_path(&opts.baseline_dir, target);
-    let base = load_baseline(&baseline)?;
-    let fresh = build_fresh(target, opts)?;
+    let base = serde_json::from_str(&text)
+        .map_err(|e| format!("baseline {} is not JSON: {e}", path.display()))?;
+    let fresh = t.build(quick, threads, t.seed().unwrap_or(0));
     let mut c = Checks::new();
-    let expected = expected_schema(target).ok_or_else(|| format!("unknown target {target:?}"))?;
-    c.schemas_match(&fresh, &base, expected);
+    c.schemas_match(&fresh, &base, &schema_tag(t.name()));
     c.key_sets_match(&fresh, &base);
-    check_invariants(target, &fresh, &base, &mut c);
-    if !opts.quick {
-        if let Some(field) = throughput_field(target) {
-            c.throughput_within(&fresh, &base, field, opts.tolerance);
-        }
+    t.invariants(&fresh, &base, &mut c);
+    if let (false, Some(field)) = (quick, t.headline()) {
+        c.throughput_within(&fresh, &base, field, tolerance);
     }
-    Ok(TargetOutcome {
-        target,
-        baseline_path: baseline,
-        checks: c.n,
-        failures: c.failures,
-    })
-}
-
-/// Runs the gate over `targets` in order (the full roster when empty).
-///
-/// # Errors
-///
-/// Propagates the first environmental failure (see [`regress_target`]).
-pub fn run_regress(
-    targets: &[&'static str],
-    opts: &RegressOptions,
-) -> Result<Vec<TargetOutcome>, String> {
-    let roster: Vec<&'static str> = if targets.is_empty() {
-        REGRESS_TARGETS.to_vec()
-    } else {
-        targets.to_vec()
-    };
-    roster.iter().map(|t| regress_target(t, opts)).collect()
-}
-
-/// Renders the outcome table: one line per target, then every failure.
-pub fn render_outcomes(outcomes: &[TargetOutcome]) -> String {
-    let mut out = String::new();
-    for o in outcomes {
-        out.push_str(&format!(
-            "regress {:<9} {:>4} checks  {}  vs {}\n",
-            o.target,
-            o.checks,
-            if o.passed() { "ok  " } else { "FAIL" },
-            o.baseline_path.display()
-        ));
-    }
-    for o in outcomes {
-        for f in &o.failures {
-            out.push_str(&format!("  {}: {f}\n", o.target));
-        }
-    }
-    out
+    Ok(c)
 }
 
 #[cfg(test)]
@@ -510,10 +510,16 @@ mod tests {
 
     #[test]
     fn schema_table_covers_every_target() {
-        for t in REGRESS_TARGETS {
-            assert!(expected_schema(t).is_some(), "{t}");
+        for (i, t) in TARGETS.iter().enumerate() {
+            assert_eq!(target(t.name()).map(|f| f.name()), Some(t.name()));
+            assert!(
+                TARGETS[..i].iter().all(|u| u.name() != t.name()),
+                "{}",
+                t.name()
+            );
         }
-        assert!(expected_schema("nonsense").is_none());
+        assert_eq!(schema_tag("margin"), "multihonest-bench-margin/v1");
+        assert!(target("nonsense").is_none());
     }
 
     #[test]
@@ -558,7 +564,7 @@ mod tests {
         let fresh = serde_json::from_str(doc).unwrap();
         let base = serde_json::from_str(doc).unwrap();
         let mut c = Checks::new();
-        check_invariants("forkflow", &fresh, &base, &mut c);
+        Forkflow.invariants(&fresh, &base, &mut c);
         assert!(c.failures.is_empty(), "{:?}", c.failures);
     }
 }

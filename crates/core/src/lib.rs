@@ -9,13 +9,16 @@
 //! Currently this means [`ancestry`]: an append-only rooted-tree ancestry
 //! index with skew-binary jump pointers — one pointer per node, `O(1)`
 //! per insert — answering lowest-common-ancestor and level/key ancestor
-//! queries in `O(log n)`; and [`pool`]: the one deterministic
-//! work-claiming worker pool behind every parallel site.
+//! queries in `O(log n)`; [`pool`]: the one deterministic
+//! work-claiming worker pool behind every parallel site; and [`crc`]:
+//! the CRC-32 that frames every state file (horizon WAL, sweep
+//! checkpoint).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ancestry;
+pub mod crc;
 pub mod pool;
 
 pub use crate::ancestry::AncestorIndex;

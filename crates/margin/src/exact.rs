@@ -1070,6 +1070,81 @@ mod tests {
         );
     }
 
+    /// Definition ≡ DP, exhaustively: for every `(m, k)` with
+    /// `m + k ≤ 12`, the finite-prefix DP equals the exact sum of
+    /// `Pr[xy]·1[µ_x(y) ≥ 0]` over all `3^(m+k)` strings, enumerated by
+    /// a prefix-sharing DFS over the Theorem-5 recurrences. This checks
+    /// the DP's reach-law truncation and live-band arguments against the
+    /// definition rather than against a second copy of the kernel.
+    #[test]
+    fn finite_prefix_matches_exhaustive_enumeration() {
+        use crate::recurrence::{MarginState, ReachState};
+        use multihonest_chars::Symbol;
+
+        const N: usize = 12;
+
+        /// Adds `p·1[µ ≥ 0]` of every extension `y` (`|y| ≤ N − m`) of the
+        /// split state into `sums[|y|]`.
+        fn walk_y(st: MarginState, p: f64, k: usize, sym: &[(Symbol, f64)], sums: &mut [f64]) {
+            if st.mu() >= 0 {
+                sums[k] += p;
+            }
+            if k + 1 < sums.len() {
+                for &(s, q) in sym {
+                    let mut next = st;
+                    next.step(s);
+                    walk_y(next, p * q, k + 1, sym, sums);
+                }
+            }
+        }
+
+        /// Enumerates every prefix `x` of length `m`, then its suffixes.
+        fn walk_x(st: ReachState, p: f64, left: usize, sym: &[(Symbol, f64)], sums: &mut [f64]) {
+            if left == 0 {
+                walk_y(MarginState::at_split(st.rho()), p, 0, sym, sums);
+                return;
+            }
+            for &(s, q) in sym {
+                let mut next = st;
+                next.step(s);
+                walk_x(next, p * q, left - 1, sym, sums);
+            }
+        }
+
+        let mut cells = 0;
+        for (alpha, ratio) in [
+            (0.10, 1.0),
+            (0.20, 0.9),
+            (0.30, 0.5),
+            (0.40, 0.25),
+            (0.49, 0.01),
+        ] {
+            let c = cond(alpha, ratio);
+            let e = ExactSettlement::new(c);
+            let sym = [
+                (Symbol::UniqueHonest, c.p_unique_honest()),
+                (Symbol::MultiHonest, c.p_multi_honest()),
+                (Symbol::Adversarial, c.p_adversarial()),
+            ];
+            for m in 0..=N {
+                let ks: Vec<usize> = (0..=N - m).collect();
+                let mut sums = vec![0.0; ks.len()];
+                walk_x(ReachState::new(), 1.0, m, &sym, &mut sums);
+                let dp = e.violation_probabilities_finite_prefix(m, &ks);
+                for (k, (&want, &got)) in sums.iter().zip(&dp).enumerate() {
+                    let rel = (got - want).abs() / want;
+                    assert!(
+                        rel < 1e-9,
+                        "α = {alpha}, ratio = {ratio}, m = {m}, k = {k}: \
+                         DP {got:e} vs enumeration {want:e}"
+                    );
+                    cells += 1;
+                }
+            }
+        }
+        assert_eq!(cells, 5 * 91, "every (condition, m, k) with m + k ≤ 12");
+    }
+
     #[test]
     fn horizon_variant_dominates_pointwise() {
         let e = ExactSettlement::new(cond(0.25, 0.6));

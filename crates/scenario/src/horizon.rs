@@ -52,6 +52,7 @@ use std::path::{Path, PathBuf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use multihonest_core::crc::crc32;
 use multihonest_obs::{heartbeat_line, Heartbeat, Recorder};
 use multihonest_sim::consistency::DivergenceFold;
 use multihonest_sim::fault::{FaultPlan, FaultRuntime};
@@ -230,19 +231,6 @@ impl WalRecord {
 }
 
 const WAL_MAGIC: &[u8; 8] = b"MHWAL\x01\0\0";
-
-/// CRC-32 (IEEE), bitwise — records are tiny and rare, so no table.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 fn words_to_bytes(words: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(words.len() * 8);

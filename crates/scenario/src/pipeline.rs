@@ -10,7 +10,7 @@
 //! recurrence, with each reduced symbol's `(ρ, µ)` reported through
 //! [`MetricsSink::on_margin`].
 //!
-//! The payoff is the acceptance criterion of the streaming refactor: a
+//! The payoff is the acceptance bar of the streaming refactor: a
 //! 10⁶-slot columnar execution leaves [`Execution::validated`] with
 //! its fork built, its (F1)–(F3)+(F4Δ) verdict decided and its margin
 //! trajectory streamed, in one pass, with **no** reference-engine replay

@@ -4,7 +4,7 @@
 //! The engine loop is generic over a [`Recorder`]; a plain
 //! [`Execution`] carries the no-op `()` implementation, which compiles to
 //! nothing — the hot loop pays zero instructions for the instrumentation
-//! hooks. `scenario bench-report --profile` attaches a [`PhaseTimes`]
+//! hooks. `mh scenario --profile` attaches a [`PhaseTimes`]
 //! instead ([`Execution::recorder`]) and prints the per-phase breakdown
 //! next to the headline Mslots/s figure.
 //!

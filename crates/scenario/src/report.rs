@@ -2,7 +2,7 @@
 //!
 //! Mirrors the repo's other perf-trajectory artifacts (`BENCH_margin`,
 //! `BENCH_sim`, `BENCH_astar`): a machine-readable record produced by the
-//! `scenario` binary's `bench-report` mode, committed at the repo root
+//! `mh bench scenario`, committed at the repo root
 //! and structure-diffed by CI against a fresh reduced-grid run. The
 //! builder **asserts bit-identical traces** between the columnar engine
 //! and `sim::reference` on every scenario of the equivalence grid before
@@ -86,7 +86,7 @@ pub struct ScenarioBenchReport {
     /// Slots of the single-run throughput headline.
     pub million_slots: usize,
     /// Wall-clock seconds of the throughput headline (a
-    /// `PrivateWithholding` execution — the acceptance criterion).
+    /// `PrivateWithholding` execution — the acceptance bar).
     pub million_run_seconds: f64,
     /// Headline slots per wall-clock second.
     pub million_slots_per_second: f64,
@@ -152,7 +152,7 @@ fn assert_equivalent(sc: &Scenario, seed: u64) -> (f64, f64) {
 /// at `equivalence_slots` on **both** engines and asserts bit-identical
 /// tip/rollback/metric/settlement traces, (2) sweeps the grid at
 /// `grid_slots` thread-parallel on the columnar engine, and (3) times the
-/// acceptance-criterion throughput run (`million_slots` of
+/// acceptance-bar throughput run (`million_slots` of
 /// `PrivateWithholding`).
 ///
 /// # Panics
@@ -210,7 +210,7 @@ pub fn scenario_bench_report(
         }
     });
 
-    // 3. The acceptance-criterion throughput headline: a streaming
+    // 3. The acceptance-bar throughput headline: a streaming
     //    million-slot PrivateWithholding execution.
     let headline_cfg = headline_config(million_slots);
     let schedule = ColumnarSchedule::for_config(&headline_cfg, seed);
@@ -256,8 +256,8 @@ fn headline_config(slots: usize) -> multihonest_sim::SimConfig {
 }
 
 /// Re-runs the throughput headline (`slots` of `PrivateWithholding`) with
-/// the kernel's per-phase profiler attached — the engine behind `scenario
-/// bench-report --profile`. Returns the phase breakdown; note the
+/// the kernel's per-phase profiler attached — the engine behind
+/// `mh scenario --profile`. Returns the phase breakdown; note the
 /// instrumented run is slower than the plain headline (one timestamp per
 /// executed phase per slot), so its total is not a throughput figure.
 pub fn profile_headline(slots: usize, seed: u64) -> crate::profile::PhaseTimes {

@@ -379,7 +379,7 @@ impl Scenario {
     }
 }
 
-/// The canonical scenario grid swept by the `scenario` binary: the three
+/// The canonical scenario grid swept by `mh scenario`: the three
 /// built-ins plus the new parameterized workloads, all at the same base
 /// parameters.
 pub fn scenario_library(slots: usize) -> Vec<Scenario> {
@@ -489,7 +489,7 @@ impl FaultScenario {
     }
 }
 
-/// The canonical fault grid swept by the `faults` binary: partitions,
+/// The canonical fault grid swept by `mh bench faults`: partitions,
 /// eclipses, crash–recovery (including a crash at genesis), windowed
 /// message loss, a chained compound window, and one fault × attack
 /// combination — all over the same sparse base (10 nodes, 10%

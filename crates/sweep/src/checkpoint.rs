@@ -1,16 +1,23 @@
 //! Campaign checkpoints: atomic, line-oriented snapshots of completed
 //! cells.
 //!
-//! ## Format (`multihonest-sweep-checkpoint/v3`)
+//! ## Format (`multihonest-sweep-checkpoint/v4`)
 //!
 //! One compact-JSON object per line — a header, then one completed cell
 //! per line:
 //!
 //! ```text
-//! {"schema":"multihonest-sweep-checkpoint/v3","spec_fingerprint":1234567890,"kernel_version":1}
-//! {"cell":0,"aggregate":{ ...CellAggregate... }}
-//! {"cell":3,"aggregate":{ ... }}
+//! {"schema":"multihonest-sweep-checkpoint/v4","spec_fingerprint":1234567890,"kernel_version":1}
+//! {"crc":<u32>,"cell":0,"aggregate":{ ...CellAggregate... }}
+//! {"crc":<u32>,"cell":3,"aggregate":{ ... }}
 //! ```
+//!
+//! `crc` is the CRC-32 ([`crc32`]) of the cell's canonical bytes: the
+//! line without its `crc` field, `{"cell":…,"aggregate":{…}}`, exactly as
+//! [`CompletedCell`] serializes. Loading re-renders every parsed cell
+//! and compares, so an edited count, index or fingerprint is caught
+//! even though it still parses. (`CellAggregate::fingerprint` hashes
+//! the trials, so it cannot be recomputed from the stored counts.)
 //!
 //! `kernel_version` pins the execution engine revision
 //! ([`ENGINE_KERNEL_VERSION`]) the snapshot's aggregates were computed
@@ -26,8 +33,9 @@
 //! Writes go to a temp file in the same directory, **fsync**, then
 //! rename, so a kill mid-write leaves the previous snapshot intact and a
 //! power loss cannot publish an unsynced rename. Should a snapshot still
-//! arrive truncated (torn tail, non-atomic filesystem), loading **drops
-//! the malformed tail with a logged warning** and salvages the parseable
+//! arrive truncated or corrupted (torn tail, non-atomic filesystem, a
+//! flipped byte), loading **drops the tail from the first malformed or
+//! checksum-failing line with a logged warning** and salvages the intact
 //! prefix — every line is a self-contained cell, so a prefix is always a
 //! valid (smaller) checkpoint and the dropped cells are simply
 //! recomputed. A malformed *header* stays a hard error, as does a
@@ -41,6 +49,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 
+use multihonest_core::crc::crc32;
 use multihonest_scenario::ENGINE_KERNEL_VERSION;
 use serde::Serialize;
 use serde::Value;
@@ -48,7 +57,7 @@ use serde::Value;
 use crate::aggregate::CellAggregate;
 
 /// Schema tag of the checkpoint format.
-pub const CHECKPOINT_SCHEMA: &str = "multihonest-sweep-checkpoint/v3";
+pub const CHECKPOINT_SCHEMA: &str = "multihonest-sweep-checkpoint/v4";
 
 /// One completed cell in a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -95,8 +104,13 @@ impl Checkpoint {
             self.kernel_version
         );
         for cell in &self.completed {
-            out.push_str(&serde_json::to_string(cell).expect("serializable"));
-            out.push('\n');
+            let canonical = serde_json::to_string(cell).expect("serializable");
+            // `{"cell":…}` → `{"crc":N,"cell":…}`.
+            out.push_str(&format!(
+                "{{\"crc\":{},{}\n",
+                crc32(canonical.as_bytes()),
+                &canonical[1..]
+            ));
         }
         out
     }
@@ -117,9 +131,10 @@ impl Checkpoint {
     /// Loads and validates a checkpoint. Returns `Ok(None)` when `path`
     /// does not exist (a fresh campaign), an error when the file exists
     /// but has a malformed header or belongs to a different campaign
-    /// spec. A malformed **tail** (torn write) is not an error: the
-    /// parseable prefix of cell lines is salvaged and the rest dropped
-    /// with a warning on stderr — dropped cells are recomputed on resume.
+    /// spec. A malformed **tail** (torn write) is not an error, and
+    /// neither is a cell line whose checksum fails: the intact prefix of
+    /// cell lines is salvaged and the rest dropped with a warning on
+    /// stderr — dropped cells are recomputed on resume.
     pub fn load(path: &Path, spec_fingerprint: u64) -> io::Result<Option<Checkpoint>> {
         let text = match fs::read_to_string(path) {
             Ok(t) => t,
@@ -163,12 +178,13 @@ impl Checkpoint {
             }
             let parsed = serde_json::from_str(line)
                 .map_err(|e| bad_data(format!("cell line is not valid JSON: {e}")))
-                .and_then(|v| parse_completed_cell(&v));
+                .and_then(|v| parse_checked_cell(&v));
             match parsed {
                 Ok(cell) => completed.push(cell),
                 Err(e) => {
-                    // Torn tail: everything from the first malformed line
-                    // on is dropped; the prefix is a valid checkpoint.
+                    // Torn or corrupted tail: everything from the first
+                    // bad line on is dropped; the prefix is a valid
+                    // checkpoint.
                     eprintln!(
                         "warning: {}: dropping malformed checkpoint tail \
                          from line {} ({}); {} completed cell(s) salvaged",
@@ -224,6 +240,22 @@ fn field_u64_array(value: &Value, key: &str) -> io::Result<Vec<u64>> {
                 .ok_or_else(|| bad_data(format!("'{key}' holds a non-integer entry")))
         })
         .collect()
+}
+
+/// Parses one cell line and checks its `crc` against the CRC-32 of the
+/// parsed cell's canonical rendering.
+fn parse_checked_cell(value: &Value) -> io::Result<CompletedCell> {
+    let stored = field_u64(value, "crc")?;
+    let cell = parse_completed_cell(value)?;
+    let canonical = serde_json::to_string(&cell).expect("serializable");
+    let actual = crc32(canonical.as_bytes());
+    if stored != u64::from(actual) {
+        return Err(bad_data(format!(
+            "cell {} fails its checksum (stored {stored:#010x}, computed {actual:#010x})",
+            cell.cell
+        )));
+    }
+    Ok(cell)
 }
 
 fn parse_completed_cell(value: &Value) -> io::Result<CompletedCell> {
@@ -410,6 +442,68 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(full, original);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every single-byte edit of a rendered checkpoint either fails the
+    /// load or leaves cells that each equal the original cell at their
+    /// index: a corrupted line is dropped with its tail, never resumed
+    /// with different counts.
+    #[test]
+    fn byte_edits_are_rejected_or_salvaged_never_resumed_changed() {
+        let dir = std::env::temp_dir().join("multihonest-sweep-ckpt-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("edited.json");
+        let original = sample();
+        let bytes = original.render().into_bytes();
+        for at in 0..bytes.len() {
+            for with in [
+                b'0',
+                b'1',
+                b'9',
+                b'-',
+                b' ',
+                b'"',
+                b',',
+                b'}',
+                b'\n',
+                bytes[at] ^ 1,
+            ] {
+                if with == bytes[at] {
+                    continue;
+                }
+                let mut edited = bytes.clone();
+                edited[at] = with;
+                std::fs::write(&path, &edited).unwrap();
+                if let Ok(Some(loaded)) = Checkpoint::load(&path, original.spec_fingerprint) {
+                    assert!(
+                        loaded.completed.len() <= original.completed.len(),
+                        "byte {at} -> {with:#x} grew the checkpoint"
+                    );
+                    for (got, want) in loaded.completed.iter().zip(&original.completed) {
+                        assert_eq!(got, want, "byte {at} -> {with:#x} resumed a changed cell");
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn v3_checkpoint_is_an_unsupported_schema() {
+        let dir = std::env::temp_dir().join("multihonest-sweep-ckpt-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v3.json");
+        let original = sample();
+        let v3 = original
+            .render()
+            .replace(CHECKPOINT_SCHEMA, "multihonest-sweep-checkpoint/v3");
+        std::fs::write(&path, v3).unwrap();
+        let err = Checkpoint::load(&path, original.spec_fingerprint).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported checkpoint schema"),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
